@@ -51,18 +51,14 @@ class GPULouvainConfig:
         runner (:func:`repro.bench.runner.run_gpu`) deliberately scales
         it down to 1_000 for the ~1000x-smaller analog suite (DESIGN.md
         §2 documents the divergence).
-    use_sweep_plan:
-        Cache each bucket's edge gather for the whole phase (a
-        :class:`~repro.core.sweep_plan.SweepPlan`) and track modularity
-        incrementally from committed moves, with an exact recompute
-        every ``exact_q_interval`` sweeps and at phase end.  ``False``
-        restores the pre-plan engine (fresh gathers and a full-edge
-        exact Q scan every sweep) — the before/after baseline of
-        ``benchmarks/bench_sweep_plan.py``.  Vectorized engine only.
     exact_q_interval:
-        Sweeps between exact modularity recomputes when the sweep plan's
-        incremental tracking is active (bounds float drift; the final
-        reported Q always comes from an exact recompute).
+        Sweeps between exact modularity recomputes.  The vectorized
+        engine caches each bucket's edge gather for the whole phase (a
+        :class:`~repro.core.sweep_plan.SweepPlan`) and tracks modularity
+        incrementally from committed moves; the recompute bounds float
+        drift, and the final reported Q always comes from an exact
+        recompute.  The simulated engine and the relaxed ablation
+        recompute Q exactly after every sweep.
     relaxed_updates:
         Ablation switch (Section 5): commit moves only at the end of each
         full sweep instead of after every bucket.
@@ -96,7 +92,6 @@ class GPULouvainConfig:
     relaxed_updates: bool = False
     singleton_constraint: bool = True
     engine: str = "vectorized"
-    use_sweep_plan: bool = True
     exact_q_interval: int = 16
     device: DeviceSpec = TESLA_K40M
     cost_parameters: CostParameters = field(default_factory=CostParameters)

@@ -9,21 +9,26 @@ Section 5's relaxed-vs-bucketed experiment studies.  ``relaxed=True``
 switches to the relaxed discipline: all buckets decide from the same
 snapshot and commit together at the end of the sweep.
 
+Both entry points run one sweep loop (:func:`_sweep_loop`): static levels
+(:func:`modularity_optimization`) score every bucket's full member list
+each sweep, and a stream batch's level 0
+(:func:`frontier_modularity_optimization`) scores only an active set.
+
 Per-sweep cost discipline (the paper's "work proportional to the edges
-actually touched"): with ``config.use_sweep_plan`` the vectorized engine
-builds a :class:`~repro.core.sweep_plan.SweepPlan` once per phase — the
-bucket edge gathers and pair structures are cached across sweeps — and
-the sweep-end modularity is tracked *incrementally*: per-bucket commits
-telescope, so one pass over the sweep's movers' CSR rows
-(:func:`_sweep_internal_delta`) updates the internal edge weight instead
-of re-scanning every edge.  An exact recompute runs every
-``config.exact_q_interval`` sweeps and at phase end to bound float
-drift; the final reported Q always comes from the exact recompute.
+actually touched"): the vectorized engine builds a
+:class:`~repro.core.sweep_plan.SweepPlan` once per phase — the bucket edge
+gathers and pair structures are cached across sweeps — and the sweep-end
+modularity is tracked *incrementally*: per-bucket commits telescope, so
+one pass over the sweep's movers' CSR rows (:func:`_sweep_internal_delta`)
+updates the internal edge weight instead of re-scanning every edge.  An
+exact recompute runs every ``config.exact_q_interval`` sweeps and at phase
+end to bound float drift; the final reported Q always comes from the exact
+recompute.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 import numpy as np
@@ -96,9 +101,8 @@ def _partition_modularity(
 
 
 def _commit_moves(
-    plan: SweepPlan,
+    plan: SweepPlan | None,
     comm: np.ndarray,
-    comm32: np.ndarray | None,
     movers: np.ndarray,
     old: np.ndarray,
     new: np.ndarray,
@@ -106,22 +110,20 @@ def _commit_moves(
     sizes: np.ndarray,
     k: np.ndarray,
 ) -> None:
-    """Commit one bucket's moves (Alg. 1 lines 8-11) under a sweep plan.
+    """Commit one bucket's moves (Alg. 1 lines 8-11).
 
-    Only the movers' source and target communities change.  With
-    integral weights a bincount delta added wholesale is exact
+    Only the movers' source and target communities change.  With a plan
+    and integral weights a bincount delta added wholesale is exact
     (integer-valued float64) and much faster than four buffered
     ``np.add.at`` calls; otherwise ``np.add.at`` keeps the float
-    accumulation order identical to the non-plan engine.
-
-    ``comm32``, when given, is the plan's int32 label mirror and is kept
-    in sync with ``comm``.
+    accumulation order of the simulated engine, which has no plan.  The
+    plan's int32 label mirror, when bound, is kept in sync with ``comm``.
     """
     comm[movers] = new
-    if comm32 is not None:
-        comm32[movers] = new
+    if plan is not None and plan.shared_comm32 is not None:
+        plan.shared_comm32[movers] = new
     km = k[movers]
-    if plan.integral_weights:
+    if plan is not None and plan.integral_weights:
         volumes += np.bincount(
             new, weights=km, minlength=volumes.size
         ) - np.bincount(old, weights=km, minlength=volumes.size)
@@ -133,7 +135,8 @@ def _commit_moves(
         np.add.at(volumes, new, km)
         np.add.at(sizes, old, -1)
         np.add.at(sizes, new, 1)
-    plan.mark_moved(movers, old, new)
+    if plan is not None:
+        plan.mark_moved(movers, old, new)
 
 
 def _sweep_internal_delta(
@@ -171,20 +174,55 @@ def _sweep_internal_delta(
     return 2.0 * float(diff.sum()) - float(diff[mm].sum())
 
 
-def _count_thread_cycles(span, profile) -> None:
-    """Thread-occupancy counters for simulated-engine spans.
+def _initial_labels(initial_communities: np.ndarray | None, n: int) -> np.ndarray:
+    """Working copy of the warm-start labels (singletons when ``None``).
 
-    The vectorized path launches no simulated kernels (``issued`` stays
-    0), so its spans are byte-identical to the pre-counter behaviour.
+    Checked here because both entry points take the labels from callers.
     """
+    if initial_communities is None:
+        return np.arange(n, dtype=np.int64)
+    comm = np.array(initial_communities, dtype=np.int64)
+    if comm.shape != (n,):
+        raise ValueError(
+            "initial_communities must have one label per vertex: "
+            f"expected shape ({n},), got {comm.shape}"
+        )
+    if n and (int(comm.min()) < 0 or int(comm.max()) >= n):
+        raise ValueError(
+            "initial_communities labels must be existing vertex ids "
+            f"(0..{n - 1}), got labels in [{int(comm.min())}, {int(comm.max())}]"
+        )
+    return comm
+
+
+def _count_phase(span, outcome: OptimizationOutcome, **extra: int) -> None:
+    """Counters of an ``optimization`` span from its phase outcome.
+
+    Thread-occupancy counters appear only for the simulated engine: the
+    vectorized engine launches no simulated kernels (``issued`` stays 0).
+    """
+    profile = outcome.profile
+    span.count(
+        sweeps=outcome.sweeps,
+        moved=profile.total_moves,
+        gather_reuse_hits=profile.gather_reuse_hits,
+        pair_reuse_hits=profile.pair_reuse_hits,
+        pair_patch_hits=profile.pair_patch_hits,
+        max_q_drift=profile.max_q_drift,
+        modularity=outcome.modularity,
+        **extra,
+    )
     issued = sum(k.issued_thread_cycles for k in profile.kernels)
     if issued > 0:
-        span.count(
-            active_thread_cycles=sum(
-                k.active_thread_cycles for k in profile.kernels
-            ),
-            issued_thread_cycles=issued,
-        )
+        active = sum(k.active_thread_cycles for k in profile.kernels)
+        span.count(active_thread_cycles=active, issued_thread_cycles=issued)
+
+
+def _plan_hits(plan: SweepPlan | None) -> tuple[int, int, int]:
+    """The plan's running gather-reuse, pair-reuse and pair-patch counts."""
+    if plan is None:
+        return (0, 0, 0)
+    return (plan.gather_reuse_hits, plan.pair_reuse_hits, plan.pair_patch_hits)
 
 
 def modularity_optimization(
@@ -199,242 +237,19 @@ def modularity_optimization(
     """Run Alg. 1 on ``graph``; returns final communities and sweep count.
 
     ``threshold`` is the per-sweep modularity-gain cutoff (``t_bin`` or
-    ``t_final``, chosen by the caller from the level's size).  With a
-    live ``tracer`` the phase is recorded as an ``optimization`` span
-    with one ``sweep`` child per sweep (moves, cache hits, Q drift).
+    ``t_final``, chosen by the caller from the level's size).  Every
+    sweep scores every non-isolated vertex.  With a live ``tracer`` the
+    phase is recorded as an ``optimization`` span with one ``sweep``
+    child per sweep (moves, cache hits, Q drift).
     """
     tracer = as_tracer(tracer)
-    if not tracer.enabled:
-        return _optimize(graph, config, threshold, initial_communities, cost_model, tracer)
     with tracer.span("optimization") as span:
-        outcome = _optimize(
-            graph, config, threshold, initial_communities, cost_model, tracer
+        outcome = _sweep_loop(
+            graph, config, threshold, initial_communities, cost_model=cost_model, tracer=tracer
         )
-        profile = outcome.profile
-        span.count(
-            sweeps=outcome.sweeps,
-            moved=profile.total_moves,
-            gather_reuse_hits=profile.gather_reuse_hits,
-            pair_reuse_hits=profile.pair_reuse_hits,
-            pair_patch_hits=profile.pair_patch_hits,
-            max_q_drift=profile.max_q_drift,
-            modularity=outcome.modularity,
-        )
-        _count_thread_cycles(span, profile)
+        if tracer.enabled:
+            _count_phase(span, outcome)
     return outcome
-
-
-def _optimize(
-    graph: CSRGraph,
-    config: GPULouvainConfig,
-    threshold: float,
-    initial_communities: np.ndarray | None,
-    cost_model: CostModel | None,
-    tracer: Tracer | NullTracer,
-) -> OptimizationOutcome:
-    """:func:`modularity_optimization` body (tracer already normalised)."""
-    n = graph.num_vertices
-    k = graph.weighted_degrees
-    two_m = graph.total_weight
-    profile = PhaseProfile()
-    if initial_communities is None:
-        comm = np.arange(n, dtype=np.int64)
-    else:
-        comm = np.asarray(initial_communities, dtype=np.int64).copy()
-    if n == 0 or two_m == 0.0:
-        return OptimizationOutcome(comm, 0, 0.0, profile)
-
-    simulate = config.engine == "simulated"
-    if simulate and cost_model is None:
-        cost_model = CostModel(config.device, config.cost_parameters)
-
-    # Degree buckets are fixed for the whole phase (degrees never change
-    # inside a level), exactly as the repeated thrust::partition of Alg. 1
-    # would recompute them.
-    buckets: list[Bucket] = degree_buckets(
-        graph.degrees, config.degree_bucket_bounds, config.group_sizes
-    )
-
-    src = graph.vertex_of_edge
-    dst = graph.indices
-    w = graph.weights
-    edges_view = (src, dst, w)
-
-    volumes = np.bincount(comm, weights=k, minlength=n)
-    sizes = np.bincount(comm, minlength=n)
-
-    plan = (
-        SweepPlan.build(graph, buckets)
-        if not simulate and config.use_sweep_plan
-        else None
-    )
-    # Incremental Q tracking needs the per-bucket commit discipline (the
-    # relaxed ablation recomputes volumes wholesale at sweep end anyway).
-    incremental = plan is not None and not config.relaxed_updates
-    comm32 = None
-    if plan is not None:
-        # Pair caches stay valid only while every commit is reported via
-        # mark_moved — i.e. under the per-bucket commit discipline.
-        plan.track_validity = incremental
-        if incremental:
-            # int32 label mirror for the half-width combined sort key;
-            # the incremental commit keeps it in sync.
-            comm32 = plan.bind_communities(comm)
-
-    q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
-    if incremental:
-        internal = float(w[comm[src] == comm[dst]].sum())
-    sweeps = 0
-    trace_on = tracer.enabled
-    sweep_seconds: list[float] = []
-
-    while sweeps < config.max_sweeps_per_level:
-        if trace_on:
-            sweep_t0 = perf_counter()
-        sweeps += 1
-        moved = 0
-        comm_before = comm.copy() if incremental else None
-        moves_per_bucket = [0] * len(buckets)
-        reuse_before = plan.gather_reuse_hits if plan is not None else 0
-        pair_reuse_before = plan.pair_reuse_hits if plan is not None else 0
-        pair_patch_before = plan.pair_patch_hits if plan is not None else 0
-        pending: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for index, bucket in enumerate(buckets):
-            if bucket.size == 0:
-                continue
-            if simulate:
-                new_comm, stats = compute_moves_simulated(
-                    graph,
-                    comm,
-                    volumes,
-                    sizes,
-                    bucket,
-                    cost_model,
-                    k=k,
-                    singleton_constraint=config.singleton_constraint,
-                    resolution=config.resolution,
-                )
-                profile.add(stats)
-            else:
-                bucket_plan = plan.for_bucket(index) if plan is not None else None
-                new_comm = compute_moves_vectorized(
-                    graph,
-                    comm,
-                    volumes,
-                    sizes,
-                    bucket.members,
-                    k=k,
-                    singleton_constraint=config.singleton_constraint,
-                    resolution=config.resolution,
-                    plan=bucket_plan,
-                )
-            if config.relaxed_updates:
-                pending.append((index, bucket.members, new_comm))
-            else:
-                changed = new_comm != comm[bucket.members]
-                if changed.any():
-                    num_changed = int(changed.sum())
-                    moved += num_changed
-                    moves_per_bucket[index] = num_changed
-                    movers = bucket.members[changed]
-                    old = comm[movers]
-                    new = new_comm[changed]
-                    if incremental:
-                        _commit_moves(
-                            plan, comm, comm32, movers, old, new, volumes, sizes, k
-                        )
-                    else:
-                        comm[movers] = new
-                        # Incremental a_c / size update (Alg. 1 line 11):
-                        # only the movers' source and target communities
-                        # change.
-                        np.add.at(volumes, old, -k[movers])
-                        np.add.at(volumes, new, k[movers])
-                        np.add.at(sizes, old, -1)
-                        np.add.at(sizes, new, 1)
-        if config.relaxed_updates:
-            for index, members, new_comm in pending:
-                changed = new_comm != comm[members]
-                num_changed = int(changed.sum())
-                moved += num_changed
-                moves_per_bucket[index] += num_changed
-                comm[members] = new_comm
-            volumes = np.bincount(comm, weights=k, minlength=n)
-            sizes = np.bincount(comm, minlength=n)
-
-        sweep_stats = SweepStats(
-            sweep=sweeps,
-            moves_per_bucket=moves_per_bucket,
-            gather_reuse_hits=(
-                plan.gather_reuse_hits - reuse_before if plan is not None else 0
-            ),
-            pair_reuse_hits=(
-                plan.pair_reuse_hits - pair_reuse_before if plan is not None else 0
-            ),
-            pair_patch_hits=(
-                plan.pair_patch_hits - pair_patch_before if plan is not None else 0
-            ),
-        )
-        if incremental:
-            movers_sweep = np.flatnonzero(comm != comm_before)
-            if movers_sweep.size:
-                # When the movers' rows rival the whole edge list, a
-                # fresh exact scan is both cheaper and drift-free.
-                mover_edges = int(graph.degrees[movers_sweep].sum())
-                if _DELTA_EDGE_FACTOR * mover_edges >= dst.size:
-                    internal = float(w[comm[src] == comm[dst]].sum())
-                else:
-                    internal += _sweep_internal_delta(
-                        comm_before=comm_before,
-                        comm=comm,
-                        movers=movers_sweep,
-                        graph=graph,
-                        scratch=plan.mover_scratch,
-                    )
-            # The sum(a_c^2) term is O(n) to evaluate exactly — only the
-            # edge-scan term is worth tracking incrementally.
-            vol_sq = float(np.square(volumes).sum())
-            new_q = internal / two_m - config.resolution * vol_sq / (two_m * two_m)
-            if sweeps % config.exact_q_interval == 0:
-                exact_q = _partition_modularity(
-                    comm, edges_view, k, two_m, config.resolution
-                )
-                sweep_stats.q_exact = exact_q
-                sweep_stats.q_incremental = new_q
-                # Snap the tracker so drift cannot compound across
-                # recompute windows.
-                internal = float(w[comm[src] == comm[dst]].sum())
-                new_q = exact_q
-            else:
-                sweep_stats.q_incremental = new_q
-        else:
-            new_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
-            sweep_stats.q_incremental = new_q
-            sweep_stats.q_exact = new_q
-        profile.add_sweep(sweep_stats)
-        if trace_on:
-            sweep_seconds.append(perf_counter() - sweep_t0)
-        gain = new_q - q
-        q = new_q
-        if moved == 0 or gain < threshold:
-            break
-
-    if incremental and profile.sweeps and profile.sweeps[-1].q_exact is None:
-        # Final reported Q must come from the exact recompute (and the
-        # last sweep's drift becomes observable).
-        exact_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
-        profile.sweeps[-1].q_exact = exact_q
-        q = exact_q
-
-    if trace_on:
-        # Emitted after the final q_exact patch so the last sweep's
-        # drift is visible in the trace too.
-        for stats, elapsed in zip(profile.sweeps, sweep_seconds):
-            span = sweep_span(stats)
-            span.seconds = elapsed
-            tracer.attach(span)
-
-    return OptimizationOutcome(comm, sweeps, q, profile)
 
 
 def frontier_modularity_optimization(
@@ -494,44 +309,6 @@ def frontier_modularity_optimization(
     ``tracer`` additionally records an ``optimization`` span (attributes
     ``screening`` / ``expansion``) with one ``sweep`` child per sweep.
     """
-    tracer = as_tracer(tracer)
-    if not tracer.enabled:
-        return _frontier_optimize(
-            graph, config, threshold, initial_communities, frontier,
-            screening, expansion, tracer,
-        )
-    with tracer.span("optimization", screening=screening, expansion=expansion) as span:
-        outcome = _frontier_optimize(
-            graph, config, threshold, initial_communities, frontier,
-            screening, expansion, tracer,
-        )
-        profile = outcome.profile
-        span.count(
-            sweeps=outcome.sweeps,
-            moved=profile.total_moves,
-            gather_reuse_hits=profile.gather_reuse_hits,
-            pair_reuse_hits=profile.pair_reuse_hits,
-            pair_patch_hits=profile.pair_patch_hits,
-            max_q_drift=profile.max_q_drift,
-            modularity=outcome.modularity,
-            frontier_initial=outcome.frontier_initial,
-            scored_total=outcome.scored_total,
-        )
-        _count_thread_cycles(span, profile)
-    return outcome
-
-
-def _frontier_optimize(
-    graph: CSRGraph,
-    config: GPULouvainConfig,
-    threshold: float,
-    initial_communities: np.ndarray,
-    frontier: np.ndarray,
-    screening: str,
-    expansion: str,
-    tracer: Tracer | NullTracer,
-) -> FrontierOutcome:
-    """:func:`frontier_modularity_optimization` body (tracer normalised)."""
     if config.engine == "simulated":
         raise ValueError("frontier optimization requires the vectorized engine")
     if config.relaxed_updates:
@@ -543,15 +320,7 @@ def _frontier_optimize(
         raise ValueError(f"unknown screening mode: {screening!r}")
     if expansion not in ("community", "neighbors"):
         raise ValueError(f"unknown expansion rule: {expansion!r}")
-    exact = screening == "exact"
-
     n = graph.num_vertices
-    k = graph.weighted_degrees
-    two_m = graph.total_weight
-    profile = PhaseProfile()
-    comm = np.asarray(initial_communities, dtype=np.int64).copy()
-    if comm.shape != (n,):
-        raise ValueError("initial_communities must have one label per vertex")
     frontier = np.asarray(frontier, dtype=np.int64)
     if frontier.size and (int(frontier.min()) < 0 or int(frontier.max()) >= n):
         raise ValueError("frontier vertices out of range")
@@ -559,14 +328,77 @@ def _frontier_optimize(
     active[frontier] = True
     active &= graph.degrees > 0
     frontier_initial = int(active.sum())
-    if n == 0 or two_m == 0.0:
-        return FrontierOutcome(comm, 0, 0.0, profile, frontier_initial, 0)
 
-    template: list[Bucket] = degree_buckets(
+    tracer = as_tracer(tracer)
+    with tracer.span("optimization", screening=screening, expansion=expansion) as span:
+        phase = _sweep_loop(
+            graph, config, threshold, initial_communities,
+            active=active, exact=screening == "exact", expansion=expansion, tracer=tracer,
+        )
+        scored_total = sum(s.frontier_size for s in phase.profile.sweeps)
+        outcome = FrontierOutcome(
+            **vars(phase), frontier_initial=frontier_initial, scored_total=scored_total
+        )
+        if tracer.enabled:
+            _count_phase(
+                span, outcome, frontier_initial=frontier_initial, scored_total=scored_total
+            )
+    return outcome
+
+
+def _sweep_loop(
+    graph: CSRGraph,
+    config: GPULouvainConfig,
+    threshold: float,
+    initial_communities: np.ndarray | None,
+    *,
+    active: np.ndarray | None = None,
+    exact: bool = False,
+    expansion: str = "community",
+    cost_model: CostModel | None = None,
+    tracer: Tracer | NullTracer,
+) -> OptimizationOutcome:
+    """The sweep loop of Alg. 1 behind both entry points.
+
+    Without ``active`` every sweep scores each bucket's full member list
+    from the phase's :class:`SweepPlan` — the static levels.  With an
+    ``active`` mask (updated in place) each bucket scores only its
+    active members: scoring deactivates a vertex and every commit
+    re-activates what the moves affect (see
+    :func:`frontier_modularity_optimization` for ``exact`` and
+    ``expansion``).  A static level is *not* run as an all-active mask:
+    re-extracting members, re-planning buckets and the sound expansion
+    on every sweep made ``gpu_louvain`` 2.3x slower for the same output
+    (DESIGN.md §7).
+
+    The simulated engine and the relaxed ablation take the
+    non-incremental branch: no plan validity tracking, and an exact Q
+    every sweep.
+    """
+    n = graph.num_vertices
+    k = graph.weighted_degrees
+    two_m = graph.total_weight
+    profile = PhaseProfile()
+    comm = _initial_labels(initial_communities, n)
+    if n == 0 or two_m == 0.0:
+        return OptimizationOutcome(comm, 0, 0.0, profile)
+
+    simulate = config.engine == "simulated"
+    if simulate and cost_model is None:
+        cost_model = CostModel(config.device, config.cost_parameters)
+    scoring = dict(
+        k=k, singleton_constraint=config.singleton_constraint, resolution=config.resolution
+    )
+
+    # Degree buckets are fixed for the whole phase (degrees never change
+    # inside a level), exactly as the repeated thrust::partition of Alg. 1
+    # would recompute them.
+    buckets: list[Bucket] = degree_buckets(
         graph.degrees, config.degree_bucket_bounds, config.group_sizes
     )
-    vbucket = bucket_index(graph.degrees, config.degree_bucket_bounds)
-    bucket_masks = [vbucket == bucket.index for bucket in template]
+    if active is not None:
+        vbucket = bucket_index(graph.degrees, config.degree_bucket_bounds)
+        bucket_masks = [vbucket == bucket.index for bucket in buckets]
 
     src = graph.vertex_of_edge
     dst = graph.indices
@@ -576,63 +408,51 @@ def _frontier_optimize(
     volumes = np.bincount(comm, weights=k, minlength=n)
     sizes = np.bincount(comm, minlength=n)
 
-    if config.use_sweep_plan:
-        if exact:
-            # Sweep 1 scores everyone: build the full plan up front so the
-            # first sweep pays the same gather a full phase would.
-            plan = SweepPlan.build(graph, template)
-        else:
-            # Local mode never scores the whole graph — start from empty
-            # bucket plans and build only what the frontier touches.
-            no_members = np.empty(0, dtype=np.int64)
-            plan = SweepPlan.build(
-                graph,
-                [
-                    Bucket(
-                        index=bucket.index,
-                        lower=bucket.lower,
-                        upper=bucket.upper,
-                        members=no_members,
-                        group_size=bucket.group_size,
-                    )
-                    for bucket in template
-                ],
-            )
-    else:
+    if simulate:
         plan = None
-    incremental = plan is not None
-    comm32 = None
+    elif active is None or exact:
+        # Full-list sweeps (every static sweep; sweep 1 of exact
+        # screening) pay the whole gather up front.
+        plan = SweepPlan.build(graph, buckets)
+    else:
+        # Local screening never scores the whole graph — start from
+        # empty bucket plans and build only what the frontier touches.
+        empty = [replace(bucket, members=np.empty(0, dtype=np.int64)) for bucket in buckets]
+        plan = SweepPlan.build(graph, empty)
+    # Incremental Q tracking needs the per-bucket commit discipline (the
+    # relaxed ablation recomputes volumes wholesale at sweep end anyway).
+    incremental = plan is not None and not config.relaxed_updates
     if plan is not None:
-        plan.track_validity = True
-        comm32 = plan.bind_communities(comm)
+        # Pair caches stay valid only while every commit is reported via
+        # mark_moved — i.e. under the per-bucket commit discipline.
+        plan.track_validity = incremental
+        if incremental:
+            # int32 label mirror for the half-width combined sort key;
+            # the incremental commit keeps it in sync.
+            plan.bind_communities(comm)
 
     # One edge scan serves both the baseline Q and the incremental
-    # tracker's seed (bit-identical to _partition_modularity: the
-    # bincount-volumes square sum only appends exact zeros).
+    # tracker's seed.
     internal = float(w[comm[src] == comm[dst]].sum())
-    q = internal / two_m - config.resolution * float(
-        np.square(volumes).sum()
-    ) / (two_m * two_m)
+    q = internal / two_m - config.resolution * float(np.square(volumes).sum()) / (two_m * two_m)
     sweeps = 0
-    scored_total = 0
     trace_on = tracer.enabled
     sweep_seconds: list[float] = []
 
     while sweeps < config.max_sweeps_per_level:
-        if not active.any() and not (exact and sweeps == 0):
+        if active is not None and not active.any() and not (exact and sweeps == 0):
             break
         if trace_on:
             sweep_t0 = perf_counter()
         sweeps += 1
         moved = 0
+        scored = 0
         comm_before = comm.copy() if incremental else None
-        moves_per_bucket = [0] * len(template)
-        reuse_before = plan.gather_reuse_hits if plan is not None else 0
-        pair_reuse_before = plan.pair_reuse_hits if plan is not None else 0
-        pair_patch_before = plan.pair_patch_hits if plan is not None else 0
-        scored_sweep = 0
-        full_sweep = exact and sweeps == 1
-        for index, bucket in enumerate(template):
+        moves_per_bucket = [0] * len(buckets)
+        hits_before = _plan_hits(plan)
+        pending: list[tuple[int, np.ndarray, np.ndarray]] = []
+        full_sweep = active is None or (exact and sweeps == 1)
+        for index, bucket in enumerate(buckets):
             if full_sweep:
                 members = bucket.members
             else:
@@ -643,124 +463,98 @@ def _frontier_optimize(
                 members = np.flatnonzero(active & bucket_masks[index])
             if members.size == 0:
                 continue
-            scored_sweep += int(members.size)
-            # Scoring consumes the activation; commits below re-activate
-            # whatever the moves affect (possibly these same vertices).
-            active[members] = False
-            if plan is not None:
-                cached = plan.bucket_plans[index].bucket.members
-                if cached.size == members.size and np.array_equal(cached, members):
-                    bucket_plan = plan.for_bucket(index)
-                else:
-                    plan.replace_bucket(
-                        index,
-                        graph,
-                        Bucket(
-                            index=index,
-                            lower=bucket.lower,
-                            upper=bucket.upper,
-                            members=members,
-                            group_size=bucket.group_size,
-                        ),
-                        k=k,
-                    )
-                    bucket_plan = plan.for_bucket(index)
+            scored += int(members.size)
+            if simulate:
+                new_comm, stats = compute_moves_simulated(
+                    graph, comm, volumes, sizes, bucket, cost_model, **scoring
+                )
+                profile.add(stats)
             else:
-                bucket_plan = None
-            new_comm = compute_moves_vectorized(
-                graph,
-                comm,
-                volumes,
-                sizes,
-                members,
-                k=k,
-                singleton_constraint=config.singleton_constraint,
-                resolution=config.resolution,
-                plan=bucket_plan,
-            )
+                if active is not None:
+                    # Scoring consumes the activation; commits below
+                    # re-activate whatever the moves affect (possibly
+                    # these same vertices).
+                    active[members] = False
+                    if not np.array_equal(plan.bucket_plans[index].bucket.members, members):
+                        plan.replace_bucket(index, graph, replace(bucket, members=members), k=k)
+                new_comm = compute_moves_vectorized(
+                    graph, comm, volumes, sizes, members, plan=plan.for_bucket(index), **scoring
+                )
+            if config.relaxed_updates:
+                pending.append((index, members, new_comm))
+                continue
             changed = new_comm != comm[members]
-            if changed.any():
+            if not changed.any():
+                continue
+            num_changed = int(changed.sum())
+            moved += num_changed
+            moves_per_bucket[index] = num_changed
+            movers = members[changed]
+            old = comm[movers]
+            new = new_comm[changed]
+            _commit_moves(plan, comm, movers, old, new, volumes, sizes, k)
+            if active is None:
+                continue
+            # Delta-screening expansion: every vertex whose own or
+            # neighbouring community totals changed becomes active.
+            pos, _ = gather_rows(graph.indptr, movers)
+            active[graph.indices[pos]] = True
+            if exact or expansion == "community":
+                comm_mask = np.zeros(n, dtype=bool)
+                comm_mask[old] = True
+                comm_mask[new] = True
+                member_mask = comm_mask[comm]
+                active |= member_mask
+                if exact:
+                    # Sound rule: a changed community volume reaches
+                    # every neighbour of every member, not just the
+                    # movers'.
+                    pos2, _ = gather_rows(graph.indptr, np.flatnonzero(member_mask))
+                    active[graph.indices[pos2]] = True
+            else:
+                active[movers] = True
+        if config.relaxed_updates:
+            for index, members, new_comm in pending:
+                changed = new_comm != comm[members]
                 num_changed = int(changed.sum())
                 moved += num_changed
-                moves_per_bucket[index] = num_changed
-                movers = members[changed]
-                old = comm[movers]
-                new = new_comm[changed]
-                if incremental:
-                    _commit_moves(
-                        plan, comm, comm32, movers, old, new, volumes, sizes, k
-                    )
-                else:
-                    comm[movers] = new
-                    np.add.at(volumes, old, -k[movers])
-                    np.add.at(volumes, new, k[movers])
-                    np.add.at(sizes, old, -1)
-                    np.add.at(sizes, new, 1)
-                # Delta-screening expansion: every vertex whose own or
-                # neighbouring community totals changed becomes active.
-                pos, _ = gather_rows(graph.indptr, movers)
-                active[graph.indices[pos]] = True
-                if exact or expansion == "community":
-                    comm_mask = np.zeros(n, dtype=bool)
-                    comm_mask[old] = True
-                    comm_mask[new] = True
-                    member_mask = comm_mask[comm]
-                    active |= member_mask
-                    if exact:
-                        # Sound rule: a changed community volume reaches
-                        # every neighbour of every member, not just the
-                        # movers'.
-                        pos2, _ = gather_rows(
-                            graph.indptr, np.flatnonzero(member_mask)
-                        )
-                        active[graph.indices[pos2]] = True
-                else:
-                    active[movers] = True
+                moves_per_bucket[index] += num_changed
+                comm[members] = new_comm
+            volumes = np.bincount(comm, weights=k, minlength=n)
+            sizes = np.bincount(comm, minlength=n)
 
+        gather, pair, patch = (a - b for a, b in zip(_plan_hits(plan), hits_before))
         sweep_stats = SweepStats(
             sweep=sweeps,
             moves_per_bucket=moves_per_bucket,
-            gather_reuse_hits=(
-                plan.gather_reuse_hits - reuse_before if plan is not None else 0
-            ),
-            pair_reuse_hits=(
-                plan.pair_reuse_hits - pair_reuse_before if plan is not None else 0
-            ),
-            pair_patch_hits=(
-                plan.pair_patch_hits - pair_patch_before if plan is not None else 0
-            ),
-            frontier_size=scored_sweep,
+            gather_reuse_hits=gather,
+            pair_reuse_hits=pair,
+            pair_patch_hits=patch,
+            frontier_size=scored,
         )
-        scored_total += scored_sweep
-        # Sweep-end modularity: identical float path to
-        # modularity_optimization so exact-mode runs terminate on the
-        # same sweep with the same Q, bit for bit.
         if incremental:
             movers_sweep = np.flatnonzero(comm != comm_before)
             if movers_sweep.size:
+                # When the movers' rows rival the whole edge list, a
+                # fresh exact scan is both cheaper and drift-free.
                 mover_edges = int(graph.degrees[movers_sweep].sum())
                 if _DELTA_EDGE_FACTOR * mover_edges >= dst.size:
                     internal = float(w[comm[src] == comm[dst]].sum())
                 else:
                     internal += _sweep_internal_delta(
-                        comm_before=comm_before,
-                        comm=comm,
-                        movers=movers_sweep,
-                        graph=graph,
-                        scratch=plan.mover_scratch,
+                        graph, comm_before, comm, movers_sweep, plan.mover_scratch
                     )
+            # The sum(a_c^2) term is O(n) to evaluate exactly — only the
+            # edge-scan term is worth tracking incrementally.
             vol_sq = float(np.square(volumes).sum())
             new_q = internal / two_m - config.resolution * vol_sq / (two_m * two_m)
+            sweep_stats.q_incremental = new_q
             if sweeps % config.exact_q_interval == 0:
-                exact_q = _partition_modularity(
-                    comm, edges_view, k, two_m, config.resolution
-                )
-                sweep_stats.q_exact = exact_q
-                sweep_stats.q_incremental = new_q
+                new_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
+                sweep_stats.q_exact = new_q
+                # Snap the tracker so drift cannot compound across
+                # recompute windows.
                 internal = float(w[comm[src] == comm[dst]].sum())
-                new_q = exact_q
-            else:
-                sweep_stats.q_incremental = new_q
         else:
             new_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
             sweep_stats.q_incremental = new_q
@@ -774,14 +568,17 @@ def _frontier_optimize(
             break
 
     if incremental and profile.sweeps and profile.sweeps[-1].q_exact is None:
-        exact_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
-        profile.sweeps[-1].q_exact = exact_q
-        q = exact_q
+        # Final reported Q must come from the exact recompute (and the
+        # last sweep's drift becomes observable).
+        q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
+        profile.sweeps[-1].q_exact = q
 
     if trace_on:
+        # Emitted after the final q_exact patch so the last sweep's
+        # drift is visible in the trace too.
         for stats, elapsed in zip(profile.sweeps, sweep_seconds):
             span = sweep_span(stats)
             span.seconds = elapsed
             tracer.attach(span)
 
-    return FrontierOutcome(comm, sweeps, q, profile, frontier_initial, scored_total)
+    return OptimizationOutcome(comm, sweeps, q, profile)

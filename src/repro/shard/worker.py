@@ -13,11 +13,12 @@ therefore **proposers, not committers** — the coordinator re-validates
 every proposal batch against the authoritative partition with exact
 modularity deltas (:mod:`repro.shard.engine`) before any label changes.
 
-The sweep discipline mirrors ``_frontier_optimize``: an active mask over
-the movable set, per-bucket extraction at processing time (a commit in an
-earlier bucket of the same sweep can re-activate vertices a later bucket
-must score), scoring deactivates, commits re-activate the movers and
-their movable neighbours.  The sweep gain that drives the stopping rule
+The sweep discipline mirrors the active-mask branch of
+``repro.core.mod_opt._sweep_loop`` (a stream batch's level 0): an active
+mask over the movable set, per-bucket extraction at processing time (a
+commit in an earlier bucket of the same sweep can re-activate vertices a
+later bucket must score), scoring deactivates, commits re-activate the
+movers and their movable neighbours.  The sweep gain that drives the stopping rule
 is exact over the worker's *local* view: the internal-weight delta over
 the movers' CSR rows plus the volume-square delta over affected
 communities — no per-sweep full-edge rescans.

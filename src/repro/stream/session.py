@@ -188,6 +188,9 @@ class StreamConfig:
     def from_dict(cls, data: dict) -> "StreamConfig":
         """Rebuild a config from its :meth:`to_dict` form."""
         data = dict(data)
+        # Written by every config before the field was retired; both of
+        # its values ran the same sweeps, so it carries no information.
+        data.pop("use_sweep_plan", None)
         stream_kwargs = {
             spec.name: data.pop(spec.name)
             for spec in dataclasses.fields(cls)

@@ -283,18 +283,17 @@ def test_radix_overflow_falls_back_to_lexsort(monkeypatch):
 
 
 def test_radix_overflow_run_is_identical(monkeypatch):
-    """A full run through the overflow path reproduces the radix run."""
+    """A full run through the overflow path reproduces the simulated run."""
     import repro.core.compute_move as cm
     import repro.core.sweep_plan as sp
     from repro.core.gpu_louvain import gpu_louvain
 
     g, _ = lfr_like(150, 4, avg_degree=8, mixing=0.25)
-    expected = gpu_louvain(g, use_sweep_plan=False)
+    expected = gpu_louvain(g, engine="simulated")
 
     monkeypatch.setattr(cm, "_MAX_RADIX_KEY", 0)
     monkeypatch.setattr(sp, "_INT32_MAX", -1)  # plan: no int32 keys
     monkeypatch.setattr(sp, "_INT64_MAX", -1)  # plan: no combined keys at all
-    for flag in (False, True):
-        out = gpu_louvain(g, use_sweep_plan=flag)
-        assert np.array_equal(out.membership, expected.membership)
-        assert out.modularity == expected.modularity
+    out = gpu_louvain(g)
+    assert np.array_equal(out.membership, expected.membership)
+    assert out.modularity == expected.modularity

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import GPULouvainConfig
-from repro.core.mod_opt import modularity_optimization
+from repro.core.gpu_louvain import gpu_louvain
+from repro.core.mod_opt import (
+    frontier_modularity_optimization,
+    modularity_optimization,
+)
 from repro.graph.build import from_edges
-from repro.graph.generators import caveman, lfr_like
+from repro.graph.generators import caveman, karate_club, lfr_like
 from repro.metrics.modularity import modularity
 
 
@@ -66,8 +70,6 @@ def test_relaxed_mode_runs(karate):
 def test_relaxed_vs_bucketed_quality():
     """Section 5: full-run relaxed modularity is close, but slower (more
     sweeps) — the paper reports <0.13% difference and up to 10x slowdown."""
-    from repro.core.gpu_louvain import gpu_louvain
-
     g, _ = lfr_like(600, rng=2)
     bucketed = gpu_louvain(g)
     relaxed = gpu_louvain(g, relaxed_updates=True)
@@ -97,3 +99,50 @@ def test_deterministic(karate):
     b = modularity_optimization(karate, cfg, 1e-6)
     assert np.array_equal(a.communities, b.communities)
     assert a.sweeps == b.sweeps
+
+
+def _static(graph, labels):
+    return modularity_optimization(
+        graph, GPULouvainConfig(), 1e-6, initial_communities=labels
+    )
+
+
+def _frontier(graph, labels):
+    return frontier_modularity_optimization(
+        graph,
+        GPULouvainConfig(),
+        1e-6,
+        initial_communities=labels,
+        frontier=np.arange(graph.num_vertices),
+    )
+
+
+def _with_label(index: int, label: int) -> np.ndarray:
+    labels = np.arange(34, dtype=np.int64)
+    labels[index] = label
+    return labels
+
+
+@pytest.mark.parametrize("entry", [_static, _frontier], ids=["static", "frontier"])
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        (_with_label(24, 34), r"existing vertex ids \(0\.\.33\)"),
+        (_with_label(0, -1), r"existing vertex ids \(0\.\.33\)"),
+        (np.zeros(33, dtype=np.int64), r"expected shape \(34,\), got \(33,\)"),
+        (np.zeros((34, 1), dtype=np.int64), r"expected shape \(34,\), got \(34, 1\)"),
+    ],
+    ids=["label-n", "negative", "short", "2d"],
+)
+def test_initial_communities_rejected(karate, entry, labels, match):
+    with pytest.raises(ValueError, match=f"^initial_communities .*{match}"):
+        entry(karate, labels)
+
+
+def test_static_sweeps_report_scored_vertices():
+    """Full sweeps score, and report, every non-isolated vertex."""
+    u, v, w = karate_club().edge_list(unique=True)
+    graph = from_edges(u, v, w, num_vertices=37)  # 3 isolated vertices
+    out = gpu_louvain(graph)
+    first = out.timings.stages[0].sweep_stats[0]
+    assert first.frontier_size == int(np.count_nonzero(graph.degrees > 0)) == 34

@@ -1,9 +1,11 @@
 """Differential tests for the SweepPlan cache.
 
-The plan is a pure optimization: ``use_sweep_plan=True`` must produce the
+The plan is a pure optimization: the vectorized engine must produce the
 *bit-identical* run (same per-sweep moves, membership, modularity) as the
-pre-plan engine and as the simulated hash-table engine, and the
-incremental modularity tracking must agree with the exact recompute.
+simulated hash-table engine, which builds no plan and recomputes Q
+exactly every sweep; the kernel must score every bucket identically with
+and without its plan; and the incremental modularity tracking must agree
+with the exact recompute.
 """
 
 import numpy as np
@@ -25,45 +27,79 @@ def _run(graph, **overrides):
 
 
 # --------------------------------------------------------------------- #
-# Plan vs no-plan vs simulated: identical moves
+# Plan vs simulated: identical moves
 # --------------------------------------------------------------------- #
 @settings(max_examples=40, deadline=None)
 @given(csr_graphs(max_vertices=24, max_edges=60))
+def test_plan_matches_simulated_engine(graph):
+    with_plan = _run(graph)
+    simulated = _run(graph, engine="simulated")
+    assert np.array_equal(with_plan.membership, simulated.membership)
+    assert with_plan.modularity == simulated.modularity
+    assert with_plan.sweeps_per_level == simulated.sweeps_per_level
+
+
+@settings(max_examples=40, deadline=None)
+@given(csr_graphs(max_vertices=24, max_edges=60))
 def test_plan_matches_no_plan(graph):
-    with_plan = _run(graph, use_sweep_plan=True)
-    without = _run(graph, use_sweep_plan=False)
-    assert np.array_equal(with_plan.membership, without.membership)
-    assert with_plan.modularity == without.modularity
-    assert with_plan.sweeps_per_level == without.sweeps_per_level
+    # Kernel level: over a level-0 replay from singletons, every bucket's
+    # moves scored through the plan (with its pair caches patched by each
+    # commit) equal the plan-less kernel's on the same state.
+    from repro.core.compute_move import compute_moves_vectorized
+    from repro.core.mod_opt import _commit_moves
+
+    config = GPULouvainConfig()
+    buckets = degree_buckets(
+        graph.degrees, config.degree_bucket_bounds, config.group_sizes
+    )
+    n = graph.num_vertices
+    k = graph.weighted_degrees
+    comm = np.arange(n, dtype=np.int64)
+    volumes = np.bincount(comm, weights=k, minlength=n)
+    sizes = np.bincount(comm, minlength=n)
+    plan = SweepPlan.build(graph, buckets)
+    plan.track_validity = True
+    plan.bind_communities(comm)
+    for _ in range(20):
+        moved = 0
+        for index, bucket in enumerate(buckets):
+            members = bucket.members
+            if members.size == 0:
+                continue
+            without = compute_moves_vectorized(graph, comm, volumes, sizes, members, k=k)
+            with_plan = compute_moves_vectorized(
+                graph, comm, volumes, sizes, members, k=k, plan=plan.for_bucket(index)
+            )
+            assert np.array_equal(with_plan, without)
+            changed = with_plan != comm[members]
+            if changed.any():
+                movers = members[changed]
+                _commit_moves(
+                    plan, comm, movers, comm[movers], with_plan[changed], volumes, sizes, k
+                )
+                moved += int(changed.sum())
+        if moved == 0:
+            break
 
 
 @settings(max_examples=25, deadline=None)
 @given(csr_graphs(max_vertices=20, max_edges=50, weighted=True))
-def test_plan_matches_no_plan_weighted(graph):
+def test_plan_matches_simulated_engine_weighted(graph):
     # Non-integral weights disable patching/delta shortcuts; the plan
     # must still reproduce the exact run through its rebuild path.
-    with_plan = _run(graph, use_sweep_plan=True)
-    without = _run(graph, use_sweep_plan=False)
-    assert np.array_equal(with_plan.membership, without.membership)
-    assert with_plan.modularity == without.modularity
-
-
-@settings(max_examples=15, deadline=None)
-@given(csr_graphs(max_vertices=16, max_edges=40))
-def test_plan_matches_simulated_engine(graph):
-    with_plan = _run(graph, use_sweep_plan=True)
+    with_plan = _run(graph)
     simulated = _run(graph, engine="simulated")
     assert np.array_equal(with_plan.membership, simulated.membership)
     assert with_plan.modularity == simulated.modularity
 
 
-def test_plan_matches_no_plan_lfr():
+def test_plan_matches_simulated_engine_lfr():
     graph, _ = lfr_like(400, 7, avg_degree=12, mixing=0.2)
-    with_plan = _run(graph, use_sweep_plan=True)
-    without = _run(graph, use_sweep_plan=False)
-    assert np.array_equal(with_plan.membership, without.membership)
-    assert with_plan.modularity == without.modularity
-    assert with_plan.sweeps_per_level == without.sweeps_per_level
+    with_plan = _run(graph)
+    simulated = _run(graph, engine="simulated")
+    assert np.array_equal(with_plan.membership, simulated.membership)
+    assert with_plan.modularity == simulated.modularity
+    assert with_plan.sweeps_per_level == simulated.sweeps_per_level
 
 
 # --------------------------------------------------------------------- #
@@ -74,13 +110,13 @@ def test_plan_matches_no_plan_lfr():
 def test_incremental_q_tracks_exact(graph):
     # exact_q_interval=1 recomputes the exact value after every sweep, so
     # every sweep record carries a drift measurement.
-    out = _run(graph, use_sweep_plan=True, exact_q_interval=1)
+    out = _run(graph, exact_q_interval=1)
     assert out.timings.max_q_drift <= 1e-9
 
 
 def test_incremental_q_tracks_exact_lfr():
     graph, _ = lfr_like(300, 3, avg_degree=10, mixing=0.25)
-    out = _run(graph, use_sweep_plan=True, exact_q_interval=1)
+    out = _run(graph, exact_q_interval=1)
     drifts = [
         s.q_drift
         for stage in out.timings.stages
@@ -93,7 +129,7 @@ def test_incremental_q_tracks_exact_lfr():
 
 def test_final_modularity_is_exact_recompute():
     graph = karate_club()
-    out = _run(graph, use_sweep_plan=True, exact_q_interval=1000)
+    out = _run(graph, exact_q_interval=1000)
     # Even with a huge interval the phase end recomputes exactly, so the
     # reported per-level modularity matches an independent evaluation.
     from repro.metrics.modularity import modularity
@@ -148,7 +184,7 @@ def test_unit_weight_flag_clear_for_weighted_graph():
 
 def test_gather_reuse_counted():
     graph, _ = lfr_like(200, 2, avg_degree=10, mixing=0.2)
-    out = _run(graph, use_sweep_plan=True)
+    out = _run(graph)
     total_sweeps = sum(out.sweeps_per_level)
     if total_sweeps > 1:
         assert out.timings.gather_reuse_hits > 0

@@ -88,6 +88,28 @@ def test_schema_mismatch_raises(tmp_path):
         restore_session(tmp_path / "k")
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_sidecar_with_retired_use_sweep_plan_restores(tmp_path, value):
+    """Sidecars written while ``use_sweep_plan`` existed carry the key."""
+    graph, _ = caveman(5, 8)
+    original = StreamSession(graph, StreamConfig(screening="exact"))
+    original.apply(add=(np.array([0, 8]), np.array([16, 24]), None))
+    snapshot_session(original, tmp_path / "old")
+    sidecar = tmp_path / "old.json"
+    payload = json.loads(sidecar.read_text())
+    payload["config"]["use_sweep_plan"] = value
+    sidecar.write_text(json.dumps(payload))
+
+    restored = restore_session(tmp_path / "old")
+    _assert_sessions_equal(original, restored)
+    batch = (np.array([1, 9, 30]), np.array([17, 33, 2]), None)
+    result_a = original.apply(add=batch)
+    result_b = restored.apply(add=batch)
+    np.testing.assert_array_equal(result_a.membership, result_b.membership)
+    assert result_a.modularity == result_b.modularity
+    _assert_sessions_equal(original, restored)
+
+
 # --------------------------------------------------------------------- #
 # Property: snapshot -> restore -> apply is bit-identical to the
 # uninterrupted session, including after deletions.

@@ -274,6 +274,14 @@ def test_frontier_optimizer_validation():
             initial_communities=m0,
             frontier=np.array([0]),
         )
+    with pytest.raises(ValueError, match="per-bucket commit discipline"):
+        frontier_modularity_optimization(
+            graph,
+            GPULouvainConfig(relaxed_updates=True),
+            threshold,
+            initial_communities=m0,
+            frontier=np.array([0]),
+        )
     with pytest.raises(ValueError, match="screening"):
         frontier_modularity_optimization(
             graph, CFG, threshold,

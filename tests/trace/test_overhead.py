@@ -1,17 +1,17 @@
 """Pin the no-op tracer's hot-path overhead below 5% (smoke-level).
 
-``modularity_optimization`` is a thin wrapper around ``_optimize``:
-with tracing disabled it normalises the tracer, checks one flag and
-delegates.  Timing the wrapper against a direct ``_optimize`` call
-therefore measures exactly what the tracing layer added to the
-untraced hot path.  Best-of-N timing with a few whole-test retries
+``modularity_optimization`` is a thin wrapper around ``_sweep_loop``:
+with tracing disabled it normalises the tracer, enters the no-op span,
+delegates and checks one flag.  Timing the wrapper against a direct
+``_sweep_loop`` call therefore measures exactly what the tracing layer
+added to the untraced hot path.  Best-of-N timing with a few whole-test retries
 keeps this stable on noisy CI runners.
 """
 
 from time import perf_counter
 
 from repro.core.config import GPULouvainConfig
-from repro.core.mod_opt import _optimize, modularity_optimization
+from repro.core.mod_opt import _sweep_loop, modularity_optimization
 from repro.graph.generators import planted_partition
 from repro.trace import NULL_TRACER
 
@@ -35,7 +35,7 @@ def test_noop_tracer_overhead_below_5_percent():
     threshold = config.threshold_for(graph.num_vertices)
 
     def raw():
-        _optimize(graph, config, threshold, None, None, NULL_TRACER)
+        _sweep_loop(graph, config, threshold, None, tracer=NULL_TRACER)
 
     def wrapped():
         modularity_optimization(graph, config, threshold)
