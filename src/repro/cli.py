@@ -85,11 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--shard-partition", choices=["bfs", "hash"],
                         default="bfs",
                         help="vertex-to-shard assignment (sharded engine)")
-    detect.add_argument("--shard-mode", choices=["sync", "color"],
-                        default="sync",
-                        help="sharded protocol: sync = lockstep bucket "
-                             "scoring, bit-identical to vectorized; color = "
-                             "async interiors + colored boundary rounds")
     detect.add_argument("--shard-pool", choices=["fork", "spawn", "inline"],
                         default="fork",
                         help="worker pool kind for --engine sharded")
@@ -443,7 +438,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 shard=ShardConfig(
                     workers=args.workers,
                     partition=args.shard_partition,
-                    mode=args.shard_mode,
                     pool=args.shard_pool,
                 ),
                 threshold_bin=args.threshold_bin,

@@ -84,8 +84,8 @@ def segment_sort_order(
     ``owner_local * num_vertices`` base from a
     :class:`~repro.core.sweep_plan.BucketPlan` (already overflow-checked
     at plan-build time); when it is int32 the sort moves half the bytes.
-    Plan-less callers (``parallel/chunked``, the shard engine's color
-    mode) pass no ``owner_key`` and get the int64 key built here.
+    Plan-less callers (``parallel/chunked``) pass no ``owner_key`` and
+    get the int64 key built here.
     """
     if owner_local.size == 0:
         return np.empty(0, dtype=np.int64)

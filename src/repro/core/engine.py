@@ -233,10 +233,9 @@ class ShardedEngine(Engine):
     machinery the single-process paths never need).  Streaming batches
     use the inherited Louvain-style session pipeline; only the periodic
     full reruns (``too_wide`` / audits) fan out across shard workers,
-    which is exactly where the extra cores pay off.  Because
-    :func:`sharded_louvain` propagates the caller's
-    :class:`~repro.trace.TraceContext` over the command pipe, worker
-    shard spans land in the same stitched request tree.
+    which is exactly where the extra cores pay off.  The sharded phase
+    stamps the caller's :class:`~repro.trace.TraceContext` trace id on
+    its per-shard spans, so they land in the same stitched request tree.
     """
 
     name = "sharded"
@@ -245,12 +244,10 @@ class ShardedEngine(Engine):
         self,
         workers: int = 2,
         pool: str = "fork",
-        mode: str = "sync",
         partition: str = "bfs",
     ) -> None:
         self.workers = int(workers)
         self.pool = str(pool)
-        self.mode = str(mode)
         self.partition = str(partition)
 
     def detect(
@@ -269,7 +266,6 @@ class ShardedEngine(Engine):
             shard=ShardConfig(
                 workers=self.workers,
                 pool=self.pool,
-                mode=self.mode,
                 partition=self.partition,
             ),
             initial_communities=initial_communities,
@@ -382,7 +378,7 @@ def get_engine(name: str, **options) -> Engine:
     """Resolve an engine by name (``--algo`` / ``--solver`` values).
 
     ``options`` are engine-specific construction arguments (``sharded``
-    takes ``workers`` / ``pool`` / ``mode`` / ``partition``; ``multigpu``
+    takes ``workers`` / ``pool`` / ``partition``; ``multigpu``
     takes ``devices``).  Raises :class:`ValueError` for unknown names,
     listing the valid ones.
     """

@@ -13,6 +13,8 @@ Both entry points run one sweep loop (:func:`_sweep_loop`): static levels
 (:func:`modularity_optimization`) score every bucket's full member list
 each sweep, and a stream batch's level 0
 (:func:`frontier_modularity_optimization`) scores only an active set.
+The sharded engine (:mod:`repro.shard`) runs the same loop with its
+worker pool as the scoring source.
 
 Per-sweep cost discipline (the paper's "work proportional to the edges
 actually touched"): the vectorized engine builds a
@@ -94,6 +96,13 @@ def _partition_modularity(
     """(Generalised) Q of the working partition from pre-gathered arrays."""
     src, dst, w = src_comm_weights_args
     internal = float(w[comm[src] == comm[dst]].sum())
+    return _modularity_from(internal, comm, k, two_m, resolution)
+
+
+def _modularity_from(
+    internal: float, comm: np.ndarray, k: np.ndarray, two_m: float, resolution: float
+) -> float:
+    """Q from a scanned internal edge weight and freshly counted volumes."""
     volumes = np.bincount(comm, weights=k)
     return internal / two_m - resolution * float(
         np.square(volumes).sum()
@@ -356,6 +365,7 @@ def _sweep_loop(
     exact: bool = False,
     expansion: str = "community",
     cost_model: CostModel | None = None,
+    scorer=None,
     tracer: Tracer | NullTracer,
 ) -> OptimizationOutcome:
     """The sweep loop of Alg. 1 behind both entry points.
@@ -374,6 +384,16 @@ def _sweep_loop(
     The simulated engine and the relaxed ablation take the
     non-incremental branch: no plan validity tracking, and an exact Q
     every sweep.
+
+    ``scorer`` is the third scoring source next to the simulated and
+    vectorized kernels: the sharded engine's worker pool
+    (``repro.shard.engine._SyncPool``), used on static levels under the
+    per-bucket commit discipline.  ``bind(comm, volumes, sizes)`` moves
+    the working state to where its workers read it and returns the
+    arrays this loop then updates in place; ``score(index, members)``
+    returns the bucket's new labels; ``mark_moved(movers, old, new)``
+    hears of every commit.  The loop builds no plan of its own then —
+    the scorer's workers hold theirs.
     """
     n = graph.num_vertices
     k = graph.weighted_degrees
@@ -407,8 +427,10 @@ def _sweep_loop(
 
     volumes = np.bincount(comm, weights=k, minlength=n)
     sizes = np.bincount(comm, minlength=n)
+    if scorer is not None:
+        comm, volumes, sizes = scorer.bind(comm, volumes, sizes)
 
-    if simulate:
+    if simulate or scorer is not None:
         plan = None
     elif active is None or exact:
         # Full-list sweeps (every static sweep; sweep 1 of exact
@@ -421,7 +443,8 @@ def _sweep_loop(
         plan = SweepPlan.build(graph, empty)
     # Incremental Q tracking needs the per-bucket commit discipline (the
     # relaxed ablation recomputes volumes wholesale at sweep end anyway).
-    incremental = plan is not None and not config.relaxed_updates
+    incremental = not simulate and not config.relaxed_updates
+    scratch = plan.mover_scratch if plan is not None else np.zeros(n, dtype=bool)
     if plan is not None:
         # Pair caches stay valid only while every commit is reported via
         # mark_moved — i.e. under the per-bucket commit discipline.
@@ -469,6 +492,8 @@ def _sweep_loop(
                     graph, comm, volumes, sizes, bucket, cost_model, **scoring
                 )
                 profile.add(stats)
+            elif scorer is not None:
+                new_comm = scorer.score(index, members)
             else:
                 if active is not None:
                     # Scoring consumes the activation; commits below
@@ -493,6 +518,8 @@ def _sweep_loop(
             old = comm[movers]
             new = new_comm[changed]
             _commit_moves(plan, comm, movers, old, new, volumes, sizes, k)
+            if scorer is not None:
+                scorer.mark_moved(movers, old, new)
             if active is None:
                 continue
             # Delta-screening expansion: every vertex whose own or
@@ -542,7 +569,7 @@ def _sweep_loop(
                     internal = float(w[comm[src] == comm[dst]].sum())
                 else:
                     internal += _sweep_internal_delta(
-                        graph, comm_before, comm, movers_sweep, plan.mover_scratch
+                        graph, comm_before, comm, movers_sweep, scratch
                     )
             # The sum(a_c^2) term is O(n) to evaluate exactly — only the
             # edge-scan term is worth tracking incrementally.
@@ -550,11 +577,11 @@ def _sweep_loop(
             new_q = internal / two_m - config.resolution * vol_sq / (two_m * two_m)
             sweep_stats.q_incremental = new_q
             if sweeps % config.exact_q_interval == 0:
-                new_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
-                sweep_stats.q_exact = new_q
                 # Snap the tracker so drift cannot compound across
-                # recompute windows.
+                # recompute windows; the one edge scan serves the exact Q.
                 internal = float(w[comm[src] == comm[dst]].sum())
+                new_q = _modularity_from(internal, comm, k, two_m, config.resolution)
+                sweep_stats.q_exact = new_q
         else:
             new_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
             sweep_stats.q_incremental = new_q

@@ -186,6 +186,31 @@ def induced_subgraph(graph: CSRGraph, vertices: np.ndarray) -> CSRGraph:
     )
 
 
+def _vertex_ids(values, side: str) -> np.ndarray:
+    """One batch side's endpoints as a flat int64 array.
+
+    Raises :class:`ValueError` where a cast would silently change the
+    batch: a boolean is not a vertex id, and neither is a non-integral
+    or non-finite number (``1.7`` would truncate to vertex 1).
+    """
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        array = values.ravel()
+    else:
+        # Element-wise: a list mixing booleans into ints converts to ints.
+        items = np.asarray(values, dtype=object).ravel()
+        if any(isinstance(x, (bool, np.bool_)) for x in items):
+            raise ValueError(f"{side} endpoints must be vertex ids, not booleans")
+        array = np.asarray(items.tolist())
+    if array.dtype.kind == "b":
+        raise ValueError(f"{side} endpoints must be vertex ids, not booleans")
+    if array.dtype.kind == "f":
+        if not (np.isfinite(array).all() and (array == np.trunc(array)).all()):
+            raise ValueError(f"{side} endpoints must be integral vertex ids")
+    elif array.dtype.kind not in "iu":
+        raise ValueError(f"{side} endpoints must be integer vertex ids")
+    return array.astype(np.int64, copy=False)
+
+
 def _canonical_batch_adds(
     add: tuple[np.ndarray, np.ndarray, np.ndarray | None], n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,10 +218,12 @@ def _canonical_batch_adds(
 
     Keys are ``lo * n + hi`` with ``lo <= hi``; duplicate pairs within the
     batch are merged by weight summation (stable order, like
-    :func:`from_edges`).
+    :func:`from_edges`).  Endpoints are validated by :func:`_vertex_ids`;
+    a non-finite weight raises :class:`ValueError` (one NaN would poison
+    ``2m`` and every later modularity).
     """
-    au = np.asarray(add[0], dtype=np.int64).ravel()
-    av = np.asarray(add[1], dtype=np.int64).ravel()
+    au = _vertex_ids(add[0], "insertion")
+    av = _vertex_ids(add[1], "insertion")
     aw = (
         np.ones(au.size, dtype=np.float64)
         if add[2] is None
@@ -204,6 +231,8 @@ def _canonical_batch_adds(
     )
     if au.shape != av.shape or aw.shape != au.shape:
         raise ValueError("add arrays must be parallel")
+    if not np.isfinite(aw).all():
+        raise ValueError("insertion weights must be finite")
     if au.size and (min(au.min(), av.min()) < 0 or max(au.max(), av.max()) >= n):
         raise ValueError("insertion endpoints out of range")
     if au.size == 0:
@@ -214,6 +243,25 @@ def _canonical_batch_adds(
     aw = aw[order]
     boundary = np.flatnonzero(np.concatenate(([True], akey[1:] != akey[:-1])))
     return akey[boundary], np.add.reduceat(aw, boundary)
+
+
+def _canonical_batch_removes(
+    remove: tuple[np.ndarray, np.ndarray], n: int
+) -> np.ndarray:
+    """Canonicalise the remove side of a batch: sorted unique pair keys.
+
+    Keys are ``lo * n + hi`` with ``lo <= hi``, as for
+    :func:`_canonical_batch_adds`; existence is the caller's check.
+    """
+    ru = _vertex_ids(remove[0], "removal")
+    rv = _vertex_ids(remove[1], "removal")
+    if ru.shape != rv.shape:
+        raise ValueError("remove arrays must be parallel")
+    if ru.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if min(ru.min(), rv.min()) < 0 or max(ru.max(), rv.max()) >= n:
+        raise ValueError("removal endpoints out of range")
+    return np.unique(np.minimum(ru, rv) * n + np.maximum(ru, rv))
 
 
 def apply_edge_batch(
@@ -235,6 +283,9 @@ def apply_edge_batch(
     * ``add=(u, v, w)`` inserts undirected edges (``w=None`` -> unit
       weights); adding an existing edge **sums** onto its weight, and
       duplicate pairs within the batch are merged first.
+    * Endpoints must be integer vertex ids in ``[0, n)`` and weights
+      finite; booleans, fractional ids and NaN/inf weights raise
+      :class:`ValueError` before anything is patched.
     * ``remove=(u, v)`` deletes undirected edges entirely, whichever
       direction they are given in.  Removing an edge that does not exist
       raises :class:`ValueError`.  A pair that is both removed and added
@@ -255,20 +306,7 @@ def apply_edge_batch(
     akey, aw = (
         _canonical_batch_adds(add, n) if add is not None else (empty_i, empty_f)
     )
-    if remove is not None:
-        ru = np.asarray(remove[0], dtype=np.int64).ravel()
-        rv = np.asarray(remove[1], dtype=np.int64).ravel()
-        if ru.shape != rv.shape:
-            raise ValueError("remove arrays must be parallel")
-        if ru.size and (min(ru.min(), rv.min()) < 0 or max(ru.max(), rv.max()) >= n):
-            raise ValueError("removal endpoints out of range")
-        rkey = (
-            np.unique(np.minimum(ru, rv) * n + np.maximum(ru, rv))
-            if ru.size
-            else empty_i
-        )
-    else:
-        rkey = empty_i
+    rkey = _canonical_batch_removes(remove, n) if remove is not None else empty_i
 
     if akey.size == 0 and rkey.size == 0:
         return graph, empty_i, empty_i, empty_f

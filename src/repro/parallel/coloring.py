@@ -2,13 +2,11 @@
 
 Lu et al. [16] use a coloring to split vertices into independent sets so
 that one set can move in parallel without races; their comparator
-implementation here (:mod:`repro.parallel.lu_openmp`) needs the same, and
-the sharded engine (:mod:`repro.shard`) colors boundary vertices every
-level so concurrent boundary moves stay race-free.
+implementation here (:mod:`repro.parallel.lu_openmp`) needs the same.
 
 The original implementation was a pure-Python first-fit loop with a
 ``set`` per vertex — per-edge interpreter work that turned quadratic-ish
-on the suite graphs once coloring landed on the reconciliation hot path.
+on the suite graphs.
 This version is a deterministic Jones–Plassmann-style speculative
 coloring, fully vectorized:
 

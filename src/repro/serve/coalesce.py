@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.build import _canonical_batch_adds
+from ..graph.build import _canonical_batch_adds, _canonical_batch_removes
 from ..graph.csr import CSRGraph
 
 __all__ = ["BatchCoalescer"]
@@ -119,22 +119,7 @@ class BatchCoalescer:
             if add is not None
             else (empty, np.empty(0, dtype=np.float64))
         )
-        if remove is not None:
-            ru = np.asarray(remove[0], dtype=np.int64).ravel()
-            rv = np.asarray(remove[1], dtype=np.int64).ravel()
-            if ru.shape != rv.shape:
-                raise ValueError("remove arrays must be parallel")
-            if ru.size and (
-                min(ru.min(), rv.min()) < 0 or max(ru.max(), rv.max()) >= n
-            ):
-                raise ValueError("removal endpoints out of range")
-            rkey = (
-                np.unique(np.minimum(ru, rv) * n + np.maximum(ru, rv))
-                if ru.size
-                else empty
-            )
-        else:
-            rkey = empty
+        rkey = _canonical_batch_removes(remove, n) if remove is not None else empty
 
         # Validate every removal against the pre-batch state before any
         # mutation (apply_edge_batch requires existence at batch start,

@@ -74,12 +74,14 @@ def error_body(code: str, message: str) -> dict[str, Any]:
     return {"error": {"code": code, "message": message}}
 
 
-def _int_array(values: Any, field: str) -> np.ndarray:
-    try:
-        array = np.asarray(values, dtype=np.int64).ravel()
-    except (TypeError, ValueError) as exc:
-        raise ServeError("bad_request", f"{field} must be an integer array") from exc
-    return array
+def _ids(values: Any) -> np.ndarray:
+    """JSON vertex ids as a flat object array, each value's type intact.
+
+    No cast: an ``int64`` cast would turn ``1.7`` or ``true`` into a
+    vertex id.  The graph layer's validator
+    (:func:`repro.graph.build._vertex_ids`) rejects those instead.
+    """
+    return np.asarray(values, dtype=object).ravel()
 
 
 def decode_batch(
@@ -94,8 +96,10 @@ def decode_batch(
 
     Either side may be absent or ``null``; ``w`` omitted/null means unit
     weights.  Raises :class:`ServeError` (``bad_request``) on shape
-    problems — endpoint-range and existence checks happen later, against
-    the session's graph.
+    problems.  Values pass through uncast: the batch validator in
+    :mod:`repro.graph.build` rejects booleans, fractional ids, non-finite
+    weights and out-of-range or missing edges later, against the
+    session's graph (``invalid_batch``).
     """
     if not isinstance(payload, dict):
         raise ServeError("bad_request", "batch body must be a JSON object")
@@ -105,8 +109,8 @@ def decode_batch(
     if add is not None:
         if not isinstance(add, dict) or "u" not in add or "v" not in add:
             raise ServeError("bad_request", "add must carry 'u' and 'v' arrays")
-        u = _int_array(add["u"], "add.u")
-        v = _int_array(add["v"], "add.v")
+        u = _ids(add["u"])
+        v = _ids(add["v"])
         if u.shape != v.shape:
             raise ServeError("bad_request", "add.u and add.v must be parallel")
         w = add.get("w")
@@ -122,8 +126,8 @@ def decode_batch(
     if remove is not None:
         if not isinstance(remove, dict) or "u" not in remove or "v" not in remove:
             raise ServeError("bad_request", "remove must carry 'u' and 'v' arrays")
-        u = _int_array(remove["u"], "remove.u")
-        v = _int_array(remove["v"], "remove.v")
+        u = _ids(remove["u"])
+        v = _ids(remove["v"])
         if u.shape != v.shape:
             raise ServeError("bad_request", "remove.u and remove.v must be parallel")
         if u.size:
@@ -159,20 +163,21 @@ def decode_graph_spec(spec: dict[str, Any]):
         )
     source = sources[0]
     if source == "edges":
-        from ..graph.build import from_edges
+        from ..graph.build import _vertex_ids, from_edges
 
         edges = spec["edges"]
         if not isinstance(edges, dict) or "u" not in edges or "v" not in edges:
             raise ServeError("bad_request", "edges must carry 'u' and 'v' arrays")
-        u = _int_array(edges["u"], "edges.u")
-        v = _int_array(edges["v"], "edges.v")
         w = edges.get("w")
         n = edges.get("num_vertices")
         try:
             return from_edges(
-                u, v, w, num_vertices=int(n) if n is not None else None
+                _vertex_ids(edges["u"], "edge"),
+                _vertex_ids(edges["v"], "edge"),
+                w,
+                num_vertices=int(n) if n is not None else None,
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ServeError("bad_request", str(exc)) from exc
     if source == "path":
         from ..graph.io import load_graph

@@ -438,11 +438,15 @@ class ReproServer:
                         break
                     key, _, value = line.decode("latin-1").partition(":")
                     headers[key.strip().lower()] = value.strip()
-                try:
-                    length = int(headers.get("content-length", "0") or "0")
-                except ValueError:
-                    length = 0
-                body = await reader.readexactly(length) if length else b""
+                length = headers.get("content-length", "0")
+                if not (length.isascii() and length.isdigit()):
+                    # Negative or non-numeric: the body's extent is unknown,
+                    # so nothing more on this connection can be framed.
+                    await self._respond(writer, 400, error_body(
+                        "bad_request", f"invalid Content-Length: {length!r}"),
+                        close=True)
+                    break
+                body = await reader.readexactly(int(length))
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status, payload, extra = await self._dispatch(
                     method.upper(), target, body

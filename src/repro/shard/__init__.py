@@ -1,44 +1,28 @@
 """Sharded multi-process Louvain over shared-memory CSR.
 
 Public surface: :func:`sharded_louvain` (drop-in peer of
-:func:`~repro.core.gpu_louvain.gpu_louvain`), :class:`ShardConfig` (the
-driver's knobs), :class:`~repro.shard.partition.ShardPlan` (the
-partition/interior/boundary split), and the shared-memory plumbing in
-:mod:`repro.shard.shm`.  See ``DESIGN.md`` §11 for the protocol.
+:func:`~repro.core.gpu_louvain.gpu_louvain`, bit-identical output),
+:class:`ShardConfig` (its knobs),
+:class:`~repro.shard.partition.ShardPlan` (the vertex-to-shard
+assignment), and the shared-memory plumbing in :mod:`repro.shard.shm`.
+See ``DESIGN.md`` §11 for the protocol.
 """
 
-from .engine import Q_GUARD_EPS, ReconciliationError, ShardConfig, sharded_louvain
-from .partition import ShardPlan, bfs_partition, boundary_mask, hash_partition
+from .engine import ShardConfig, sharded_louvain
+from .partition import ShardPlan, bfs_partition, hash_partition
 from .shm import ArraySpec, SharedArrays, attach_array
-from .worker import (
-    ShardProposal,
-    ShardTask,
-    SliceScorer,
-    SyncShardTask,
-    optimize_interior,
-    optimize_shard,
-    run_sync_worker,
-    run_worker,
-)
+from .worker import SliceScorer, SyncShardTask, run_sync_worker
 
 __all__ = [
-    "Q_GUARD_EPS",
-    "ReconciliationError",
     "ShardConfig",
     "sharded_louvain",
     "ShardPlan",
     "hash_partition",
     "bfs_partition",
-    "boundary_mask",
     "ArraySpec",
     "SharedArrays",
     "attach_array",
-    "ShardTask",
-    "ShardProposal",
     "SliceScorer",
     "SyncShardTask",
-    "optimize_shard",
-    "optimize_interior",
-    "run_worker",
     "run_sync_worker",
 ]

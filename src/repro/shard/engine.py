@@ -1,370 +1,171 @@
 """Sharded multi-process Louvain coordinator.
 
-The driver mirrors :func:`~repro.core.gpu_louvain.gpu_louvain`'s level
-loop (optimize → aggregate → recurse), but the optimization phase of a
-large level is executed by **per-shard worker processes** over a
-shared-memory CSR (:mod:`repro.shard.shm`).  Two protocols are
-available (``ShardConfig.mode``):
+:func:`sharded_louvain` runs :func:`~repro.core.gpu_louvain.gpu_louvain`'s
+level loop (optimize → aggregate → recurse); levels with at least
+``ShardConfig.shard_min_vertices`` vertices optimize through the
+**sharded phase**, coarser ones through the single-process engine.
 
-``"sync"`` (default) — synchronized rounds.  The coordinator drives the
-stock sweep/bucket schedule; each bucket's scoring fans out to the
-workers (one disjoint vertex slice per shard, scored with the stock
-``computeMove`` kernel against the live shared state) and commits stay
-central and per-bucket.  Scoring is per-vertex pure, so the trajectory
-— and the final membership — is bit-identical to the single-process
-vectorized engine.  This is the mode the differential gate runs.
+The sharded phase is :func:`repro.core.mod_opt._sweep_loop` — the one
+sweep loop of Alg. 1, with its commits, incremental Q tracking and stop
+rule — with a worker pool as the scoring source.  The level's vertices
+are split into one disjoint slice per shard
+(:class:`~repro.shard.partition.ShardPlan`); each worker holds zero-copy
+views of the level's CSR and of the live ``comm`` / ``volumes`` /
+``sizes`` arrays in shared memory (:mod:`repro.shard.shm`) and scores
+its slice of each bucket with the stock ``computeMove`` kernel through
+its own sweep plan.  The coordinator commits centrally, per bucket, and
+broadcasts every commit to the workers' slice plans.  Scoring is
+per-vertex pure, so the trajectory — every sweep's moves and Q, and the
+final membership — is bit-identical to the single-process vectorized
+engine.
 
-``"color"`` — asynchronous rounds over the interior/boundary split:
-
-1. the level's vertices are partitioned into shards
-   (:class:`~repro.shard.partition.ShardPlan`) and split into interior
-   and boundary sets;
-2. each worker runs restricted bucketed sweeps over its shard's
-   *interior* vertices (:func:`~repro.shard.worker.optimize_interior`)
-   and proposes label changes;
-3. the coordinator applies every proposal batch under **exact-ΔQ
-   validation**: the batch's true modularity delta is computed against
-   the authoritative partition (internal-weight delta over the movers'
-   CSR rows plus the volume-square delta); a batch that would lower Q is
-   split recursively and individually-bad moves are dropped.  This is
-   what makes stale worker scoring (two shards updating a spanning
-   community's volume concurrently) safe: workers propose, the
-   coordinator never commits a Q-decreasing step;
-4. boundary vertices are reconciled on the coordinator: the
-   boundary-induced subgraph is colored once per level
-   (:func:`~repro.parallel.coloring.greedy_coloring`) and each color
-   class — an independent set, so no two adjacent boundary vertices move
-   in the same step — is scored with the stock ``computeMove`` kernel
-   and committed under the same validation;
-5. after each round the exact Q is recomputed; a round that *decreased*
-   Q by more than ``Q_GUARD_EPS`` raises :class:`ReconciliationError`
-   (with validation on this cannot happen — the guard exists to catch
-   bookkeeping regressions, and is pinned by a validation-off test);
-6. rounds repeat until the gain falls below the level threshold, then an
-   optional single-process *polish* phase (a full warm-started
-   :func:`~repro.core.mod_opt.modularity_optimization`) tightens the
-   partition before aggregation.  Coarser levels (below
-   ``shard_min_vertices``) fall back to the single-process engine.
-
-Tracing: each level records an ``optimization`` span carrying per-shard
-child spans (moves / sweeps / scored counters and worker seconds) plus
+Tracing: each sharded level records an ``optimization`` span (attribute
+``sharded=True``) carrying the usual sweep children, one ``shard`` child
+per worker (moves / scored counters and worker CPU seconds), and
 ``workers_seconds_total`` / ``workers_seconds_critical`` counters — the
-serial sum and the per-round max of worker time.  On a single-core host
-the measured wall-clock is serial; ``critical`` is what a truly
-concurrent run would pay for the worker phase (the same emulation
-convention as :mod:`repro.parallel.multigpu`).
+serial sum and the per-step max of worker time.  ``critical`` is a
+model: what a perfectly concurrent host would pay for the worker phase
+(the same emulation convention as :mod:`repro.parallel.multigpu`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass
-from time import perf_counter, process_time
+from time import process_time
 
 import numpy as np
 
-from ..core.aggregate import aggregate_gpu
-from ..core.buckets import bucket_index, degree_buckets
 from ..core.config import GPULouvainConfig
-from ..core.gpu_louvain import GPULouvainResult
+from ..core.gpu_louvain import GPULouvainResult, _run
 from ..core.mod_opt import (
-    _DELTA_EDGE_FACTOR,
     OptimizationOutcome,
-    _sweep_internal_delta,
+    _count_phase,
+    _sweep_loop,
     modularity_optimization,
 )
-from ..core.compute_move import compute_moves_vectorized
-from ..gpu.profiler import PhaseProfile
-from ..graph.build import induced_subgraph
 from ..graph.csr import CSRGraph
-from ..metrics.modularity import modularity
-from ..metrics.timing import RunTimings, Stopwatch, SweepStats
-from ..parallel.coloring import color_classes, greedy_coloring
-from ..result import flatten_levels
-from ..trace import (
-    NullTracer,
-    Span,
-    Tracer,
-    as_tracer,
-    current_trace_context,
-    sweep_span,
-)
+from ..trace import NullTracer, Span, Tracer, current_trace_context
 from .partition import ShardPlan
 from .shm import SharedArrays
-from .worker import (
-    ShardProposal,
-    ShardTask,
-    SliceScorer,
-    SyncShardTask,
-    optimize_shard,
-    run_sync_worker,
-    run_worker,
-)
+from .worker import SliceScorer, SyncShardTask, run_sync_worker
 
-__all__ = ["ShardConfig", "ReconciliationError", "sharded_louvain", "Q_GUARD_EPS"]
+__all__ = ["ShardConfig", "sharded_louvain"]
 
-#: A reconciliation round may never lower the exact modularity by more
-#: than this; beyond it the coordinator's bookkeeping is broken.
-Q_GUARD_EPS = 1e-9
-
-#: How long the coordinator waits on one worker result before declaring
-#: the round lost (generous: suite levels take well under a second).
+#: How long the coordinator waits on one worker reply before declaring
+#: the step lost (generous: suite levels take well under a second).
 _WORKER_TIMEOUT_SECONDS = 600.0
-
-
-class ReconciliationError(RuntimeError):
-    """A reconciliation round decreased the exact modularity."""
 
 
 @dataclass(frozen=True)
 class ShardConfig:
     """Knobs of the sharded driver (solver knobs live in GPULouvainConfig).
 
-    ``mode`` picks the concurrency protocol (both from the correctness
-    playbook of the parallel-Louvain literature):
-
-    ``"sync"`` (default)
-        Synchronized rounds: the coordinator drives the stock
-        sweep/bucket schedule and fans each bucket's *scoring* out to
-        the per-shard workers (each scores its shard's slice of the
-        bucket); commits are central and per-bucket, so no concurrent
-        moves exist to race.  Scoring is per-vertex pure, so the result
-        is **bit-identical** to the single-process vectorized engine —
-        this is the mode the NMI/Q differential gate runs against.
-    ``"color"``
-        Asynchronous rounds: workers run restricted multi-sweep
-        optimization over their interiors, the coordinator applies
-        proposals under exact-ΔQ validation and reconciles boundary
-        vertices one color class at a time.  Converges to a *different*
-        (still validated-monotone) optimum; the exact-Q round guard and
-        the heavy-cut-edge test pin its safety properties.
-
     ``pool`` selects how workers run: ``"fork"`` / ``"spawn"`` real
     processes over shared memory, or ``"inline"`` — same code path,
     executed serially in-process (deterministic tests, platforms without
-    ``fork``).  ``polish`` (color mode only — sync mode must stay
-    bit-identical) runs a full warm-started single-process phase after
-    the rounds.  ``validate_commits`` exists for the guard regression
-    test; production code must leave it on.
+    ``fork``).  Levels below ``shard_min_vertices`` vertices, and every
+    level when ``workers == 1``, run the single-process engine.
     """
 
     workers: int = 2
     partition: str = "bfs"
     pool: str = "fork"
-    mode: str = "sync"
     shard_min_vertices: int = 192
-    max_rounds: int = 16
-    polish: bool = True
-    validate_commits: bool = True
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError("workers must be at least 1")
         if self.pool not in ("fork", "spawn", "inline"):
             raise ValueError(f"unknown pool mode: {self.pool!r}")
-        if self.mode not in ("sync", "color"):
-            raise ValueError(f"unknown shard mode: {self.mode!r}")
         if self.partition not in ("bfs", "hash"):
             raise ValueError(f"unknown partition method: {self.partition!r}")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-
-
-class _Committer:
-    """Validated monotone commits against the authoritative partition.
-
-    Owns the level's ``comm`` / ``volumes`` / ``sizes`` / tracked
-    internal weight.  :meth:`commit` applies a batch of ``(vertex,
-    label)`` moves only if its *exact* modularity delta is non-negative;
-    a failing batch is split recursively and individually-bad moves are
-    dropped (a worker scored them against stale volumes).
-    """
-
-    def __init__(
-        self,
-        graph: CSRGraph,
-        k: np.ndarray,
-        resolution: float,
-        comm: np.ndarray,
-        *,
-        validate: bool = True,
-    ) -> None:
-        self.graph = graph
-        self.k = k
-        self.two_m = graph.total_weight
-        self.resolution = resolution
-        self.comm = comm
-        n = graph.num_vertices
-        self.volumes = np.bincount(comm, weights=k, minlength=n)
-        self.sizes = np.bincount(comm, minlength=n)
-        self.validate = validate
-        self._scratch = np.zeros(n, dtype=bool)
-        src = graph.vertex_of_edge
-        self.internal = float(graph.weights[comm[src] == comm[graph.indices]].sum())
-        self.applied = 0
-        self.dropped = 0
-
-    @property
-    def q(self) -> float:
-        """Exact-by-construction Q of the tracked partition."""
-        return self.internal / self.two_m - self.resolution * float(
-            np.square(self.volumes).sum()
-        ) / (self.two_m * self.two_m)
-
-    def exact_q(self) -> float:
-        """Q from a fresh edge scan; snaps the internal tracker."""
-        graph = self.graph
-        src = graph.vertex_of_edge
-        self.internal = float(
-            graph.weights[self.comm[src] == self.comm[graph.indices]].sum()
-        )
-        return self.q
-
-    def _apply(self, movers: np.ndarray, labels: np.ndarray):
-        """Tentatively apply a batch; returns ``(delta_q, delta_internal, undo)``."""
-        comm = self.comm
-        old = comm[movers].copy()
-        comm_before = comm.copy()
-        comm[movers] = labels
-        delta_internal = _sweep_internal_delta(
-            self.graph, comm_before, comm, movers, self._scratch
-        )
-        km = self.k[movers]
-        affected = np.unique(np.concatenate([old, labels]))
-        vol_before = self.volumes[affected].copy()
-        size_before = self.sizes[affected].copy()
-        np.add.at(self.volumes, old, -km)
-        np.add.at(self.volumes, labels, km)
-        np.add.at(self.sizes, old, -1)
-        np.add.at(self.sizes, labels, 1)
-        delta_volsq = float(np.square(self.volumes[affected]).sum()) - float(
-            np.square(vol_before).sum()
-        )
-        delta_q = (
-            delta_internal / self.two_m
-            - self.resolution * delta_volsq / (self.two_m * self.two_m)
-        )
-
-        def undo() -> None:
-            comm[movers] = old
-            self.volumes[affected] = vol_before
-            self.sizes[affected] = size_before
-
-        return delta_q, delta_internal, undo
-
-    def commit(self, movers: np.ndarray, labels: np.ndarray) -> int:
-        """Apply as much of the batch as survives validation; count applied."""
-        movers = np.asarray(movers, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
-        keep = self.comm[movers] != labels
-        movers, labels = movers[keep], labels[keep]
-        applied_before = self.applied
-        stack = [(movers, labels)]
-        while stack:
-            mv, lb = stack.pop()
-            if mv.size == 0:
-                continue
-            delta_q, delta_internal, undo = self._apply(mv, lb)
-            if delta_q >= 0.0 or not self.validate:
-                self.internal += delta_internal
-                self.applied += int(mv.size)
-                continue
-            undo()
-            if mv.size == 1:
-                self.dropped += 1
-                continue
-            half = mv.size // 2
-            stack.append((mv[half:], lb[half:]))
-            stack.append((mv[:half], lb[:half]))
-        return self.applied - applied_before
-
-
-def _run_workers(
-    tasks: list[ShardTask], pool: str
-) -> list[ShardProposal]:
-    """Run one round's worker set; returns proposals ordered by shard."""
-    if pool == "inline":
-        return [optimize_shard(task) for task in tasks]
-    ctx = multiprocessing.get_context(pool)
-    queue = ctx.Queue()
-    procs = [ctx.Process(target=run_worker, args=(task, queue)) for task in tasks]
-    for proc in procs:
-        proc.start()
-    proposals: list[ShardProposal] = []
-    errors: list[tuple[int, str]] = []
-    try:
-        for _ in tasks:
-            status, payload = queue.get(timeout=_WORKER_TIMEOUT_SECONDS)
-            if status == "ok":
-                proposals.append(payload)
-            else:
-                errors.append(payload)
-    finally:
-        for proc in procs:
-            proc.join(timeout=30)
-            if proc.is_alive():  # pragma: no cover - hung worker
-                proc.terminate()
-    if errors:
-        detail = "; ".join(f"shard {s}: {msg}" for s, msg in errors)
-        raise RuntimeError(f"shard workers failed: {detail}")
-    proposals.sort(key=lambda p: p.shard)
-    return proposals
 
 
 class _SyncPool:
-    """Persistent lockstep workers for one level (sync mode).
+    """The sharded scoring source of ``_sweep_loop`` for one level.
 
-    Each worker holds zero-copy views of the level's shared arrays and
-    scores its shard's slice of whatever bucket the coordinator
-    requests; ``step`` fans one bucket out and gathers every reply.  In
-    ``"inline"`` mode no processes exist and the slices are scored
-    in-process through the identical code path.
+    :meth:`bind` copies the level's CSR and working state into shared
+    memory and starts one lockstep worker per shard, each holding
+    zero-copy views of the live arrays; :meth:`score` fans one bucket out
+    and merges the replies; :meth:`mark_moved` queues each commit for
+    every worker's slice plan.  In ``"inline"`` mode no processes exist
+    and the slices are scored in-process through the identical code
+    path.  Per-shard work is tallied in :attr:`shard_stats`.
     """
 
     def __init__(
-        self,
-        graph: CSRGraph,
-        k: np.ndarray,
-        comm: np.ndarray,
-        volumes: np.ndarray,
-        sizes: np.ndarray,
-        tasks: list[SyncShardTask],
-        interiors: dict[int, np.ndarray],
-        config: GPULouvainConfig,
-        pool: str,
+        self, graph: CSRGraph, config: GPULouvainConfig, shard_config: ShardConfig
     ) -> None:
-        self.pool = pool
-        self.tasks = tasks
         self._graph = graph
-        self._k = k
-        self._comm = comm
-        self._volumes = volumes
-        self._sizes = sizes
         self._config = config
+        self._shard_config = shard_config
+        self._shared = SharedArrays()
+        self._comm: np.ndarray | None = None
+        self._tasks: list[SyncShardTask] = []
+        self._scorers: dict[int, SliceScorer] = {}
+        self._startup: dict[int, float] = {}
         self._procs: list = []
         self._task_queues: list = []
         self._result_queue = None
         self._pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self._startup: dict[int, float] = {}
+        #: Per shard: worker CPU ``seconds``, committed ``moves``, ``scored``.
+        self.shard_stats: dict[int, dict[str, float]] = {}
+        self.workers_total = 0.0
+        self.workers_critical = 0.0
+
+    def bind(
+        self, comm: np.ndarray, volumes: np.ndarray, sizes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Share the level and start the workers; returns the shared views."""
+        graph = self._graph
+        config = self._config
+        shared = self._shared
+        shared.share("indptr", graph.indptr)
+        shared.share("indices", graph.indices)
+        shared.share("weights", graph.weights)
+        k = shared.share("k", graph.weighted_degrees)
+        comm = shared.share("comm", comm)
+        volumes = shared.share("volumes", volumes)
+        sizes = shared.share("sizes", sizes)
+        specs = shared.specs()
+        plan = ShardPlan.build(
+            graph, self._shard_config.workers, method=self._shard_config.partition
+        )
+        slices: dict[int, np.ndarray] = {}
+        for shard in range(plan.num_shards):
+            movable = plan.shard_members(shard)
+            if not (graph.degrees[movable] > 0).any():
+                continue
+            shared.share(f"movable-{shard}", movable)
+            slices[shard] = movable
+            self._tasks.append(
+                SyncShardTask(
+                    shard=shard,
+                    specs=specs,
+                    movable=shared.spec(f"movable-{shard}"),
+                    resolution=config.resolution,
+                    singleton_constraint=config.singleton_constraint,
+                    degree_bucket_bounds=config.degree_bucket_bounds,
+                )
+            )
+            self.shard_stats[shard] = {"seconds": 0.0, "moves": 0.0, "scored": 0.0}
+
+        pool = self._shard_config.pool
         if pool == "inline":
-            self._scorers: dict[int, SliceScorer] = {}
-            for task in tasks:
-                self._scorers[task.shard] = SliceScorer(
-                    graph,
-                    k,
-                    comm,
-                    volumes,
-                    sizes,
-                    interiors[task.shard],
+            for task in self._tasks:
+                scorer = SliceScorer(
+                    graph, k, comm, volumes, sizes, slices[task.shard],
                     singleton_constraint=config.singleton_constraint,
                     resolution=config.resolution,
                     degree_bucket_bounds=config.degree_bucket_bounds,
                 )
-                self._startup[task.shard] = self._scorers[task.shard].build_seconds
+                self._scorers[task.shard] = scorer
+                self._startup[task.shard] = scorer.build_seconds
         else:
             ctx = multiprocessing.get_context(pool)
             self._result_queue = ctx.Queue()
-            for task in tasks:
+            for task in self._tasks:
                 task_queue = ctx.Queue()
                 proc = ctx.Process(
                     target=run_sync_worker,
@@ -373,26 +174,28 @@ class _SyncPool:
                 proc.start()
                 self._task_queues.append(task_queue)
                 self._procs.append(proc)
+        self._comm = comm
+        return comm, volumes, sizes
 
     def mark_moved(
         self, movers: np.ndarray, old: np.ndarray, new: np.ndarray
     ) -> None:
-        """Queue a committed batch for every scorer's sweep plan.
+        """Queue a committed batch for every worker's slice plan.
 
         Workers are quiescent between steps, so the batch is stamped at
-        the start of their next ``step`` — inline scorers follow the
+        the start of their next step — inline scorers follow the
         identical deferred protocol (inside the per-shard timed region,
         since on a parallel host each worker stamps concurrently).
         """
         self._pending.append((movers, old, new))
 
-    def step(self, bucket: int) -> list[tuple[int, np.ndarray, np.ndarray, float, int]]:
-        """Score one bucket across every shard; one reply per shard."""
+    def score(self, bucket: int, members: np.ndarray) -> np.ndarray:
+        """New labels of ``members`` (one bucket), scored across the shards."""
         commits = self._pending
         self._pending = []
-        if self.pool == "inline":
+        if self._shard_config.pool == "inline":
             replies = []
-            for task in self.tasks:
+            for task in self._tasks:
                 scorer = self._scorers[task.shard]
                 t0 = process_time()  # match the worker-side CPU-time spans
                 for movers, old, new in commits:
@@ -400,26 +203,37 @@ class _SyncPool:
                 movers, labels, scored = scorer.score(bucket)
                 seconds = process_time() - t0 + self._startup.pop(task.shard, 0.0)
                 replies.append((task.shard, movers, labels, seconds, scored))
-            return replies
-        for task_queue in self._task_queues:
-            task_queue.put((bucket, commits))
-        replies = []
-        errors = []
-        for _ in self.tasks:
-            status, payload = self._result_queue.get(
-                timeout=_WORKER_TIMEOUT_SECONDS
-            )
-            if status == "ok":
-                replies.append(payload)
-            else:
-                errors.append(payload)
-        if errors:
-            detail = "; ".join(f"shard {s}: {msg}" for s, msg in errors)
-            raise RuntimeError(f"sync shard workers failed: {detail}")
-        return replies
+        else:
+            for task_queue in self._task_queues:
+                task_queue.put((bucket, commits))
+            replies = []
+            errors = []
+            for _ in self._tasks:
+                status, payload = self._result_queue.get(
+                    timeout=_WORKER_TIMEOUT_SECONDS
+                )
+                (replies if status == "ok" else errors).append(payload)
+            if errors:
+                detail = "; ".join(f"shard {s}: {msg}" for s, msg in errors)
+                raise RuntimeError(f"sync shard workers failed: {detail}")
+
+        new_comm = self._comm[members]
+        step_seconds = []
+        for shard, movers, labels, seconds, scored in replies:
+            # Bucket members are sorted by vertex id, and so is every slice.
+            new_comm[np.searchsorted(members, movers)] = labels
+            stats = self.shard_stats[shard]
+            stats["seconds"] += seconds
+            stats["moves"] += int(movers.size)
+            stats["scored"] += scored
+            step_seconds.append(seconds)
+        if step_seconds:
+            self.workers_total += sum(step_seconds)
+            self.workers_critical += max(step_seconds)
+        return new_comm
 
     def close(self) -> None:
-        """Shut workers down (idempotent)."""
+        """Shut the workers down and unlink the shared arrays (idempotent)."""
         for task_queue in self._task_queues:
             try:
                 task_queue.put(None)
@@ -431,13 +245,13 @@ class _SyncPool:
                 proc.terminate()
         self._procs = []
         self._task_queues = []
+        self._scorers = {}
+        self._comm = None
+        self._shared.close()
 
 
-def _record_shard_metrics(
-    shard_seconds: dict[int, float], *, rounds: int = 0
-) -> None:
-    """Record per-worker CPU seconds (and reconciliation rounds) into the
-    process-wide metrics registry.
+def _record_shard_metrics(shard_seconds: dict[int, float]) -> None:
+    """Record per-worker CPU seconds into the process-wide metrics registry.
 
     Imported lazily: ``repro.obs`` pulls the bench/analyze stack, which
     imports the core solvers — a module-level import here would cycle.
@@ -454,11 +268,6 @@ def _record_shard_metrics(
     )
     for shard, seconds in sorted(shard_seconds.items()):
         cpu.labels(shard=str(shard)).inc(seconds)
-    if rounds:
-        registry.counter(
-            "repro_shard_reconciliation_rounds_total",
-            "Boundary reconciliation rounds executed (color mode).",
-        ).inc(rounds)
 
 
 def _sync_phase(
@@ -469,424 +278,47 @@ def _sync_phase(
     initial_communities: np.ndarray | None,
     tracer: Tracer | NullTracer,
 ) -> OptimizationOutcome:
-    """Synchronized-rounds optimization phase: lockstep bucket fan-out.
-
-    Replays the stock engine's sweep/bucket schedule with the *scoring*
-    of each bucket split across shard workers (each worker owns its
-    shard's slice) and a single central commit per bucket.  Scoring is a
-    per-vertex pure function of ``(comm, volumes, sizes)``, and with
-    integral edge weights every tracked quantity is exact, so the phase
-    is bit-identical to
-    :func:`~repro.core.mod_opt.modularity_optimization` on the suite
-    graphs (non-integral weights may flip a stop decision within float
-    drift of the threshold).
-    """
-    n = graph.num_vertices
-    k = graph.weighted_degrees
-    two_m = graph.total_weight
-    if initial_communities is None:
-        init = np.arange(n, dtype=np.int64)
-    else:
-        init = np.asarray(initial_communities, dtype=np.int64).copy()
-
-    plan = ShardPlan.build(graph, shard_config.workers, method=shard_config.partition)
-    buckets = degree_buckets(
-        graph.degrees, config.degree_bucket_bounds, config.group_sizes
-    )
-    src = graph.vertex_of_edge
-    dst = graph.indices
-    w = graph.weights
-    profile = PhaseProfile()
-    scratch = np.zeros(n, dtype=bool)
-    empty = np.empty(0, dtype=np.int64)
-
+    """One level's optimization phase: ``_sweep_loop`` scored by workers."""
     with tracer.span(
         "optimization",
         sharded=True,
-        mode="sync",
         workers=shard_config.workers,
         partition=shard_config.partition,
         pool=shard_config.pool,
     ) as span:
-        span.set(
-            interior_fraction=round(plan.interior_fraction, 4),
-            boundary_vertices=int(plan.boundary_vertices.size),
-        )
-        workers_total = 0.0
-        workers_critical = 0.0
-        shard_stats: dict[int, dict[str, float]] = {}
-        sweep_seconds: list[float] = []
-        trace_on = tracer.enabled
-        trace_ctx = current_trace_context()
-
-        with SharedArrays() as shared:
-            shared.share("indptr", graph.indptr)
-            shared.share("indices", graph.indices)
-            shared.share("weights", graph.weights)
-            shared.share("k", k)
-            comm = shared.share("comm", init)
-            volumes = shared.share(
-                "volumes", np.bincount(init, weights=k, minlength=n)
+        pool = _SyncPool(graph, config, shard_config)
+        try:
+            outcome = _sweep_loop(
+                graph, config, threshold, initial_communities, scorer=pool, tracer=tracer
             )
-            sizes = shared.share("sizes", np.bincount(init, minlength=n))
-            specs = shared.specs()
-            tasks = []
-            slices: dict[int, np.ndarray] = {}
-            for shard in range(plan.num_shards):
-                movable = plan.shard_members(shard)
-                if movable.size == 0 or not (graph.degrees[movable] > 0).any():
-                    continue
-                shared.share(f"movable-{shard}", movable)
-                slices[shard] = movable
-                tasks.append(
-                    SyncShardTask(
-                        shard=shard,
-                        specs=specs,
-                        movable=shared.spec(f"movable-{shard}"),
-                        resolution=config.resolution,
-                        singleton_constraint=config.singleton_constraint,
-                        degree_bucket_bounds=config.degree_bucket_bounds,
-                        trace=trace_ctx,
-                    )
-                )
-                shard_stats[shard] = {"seconds": 0.0, "moves": 0.0, "scored": 0.0}
-
-            pool = _SyncPool(
-                graph, k, comm, volumes, sizes, tasks, slices,
-                config, shard_config.pool,
-            )
-            try:
-                internal = float(w[comm[src] == comm[dst]].sum())
-                q = internal / two_m - config.resolution * float(
-                    np.square(volumes).sum()
-                ) / (two_m * two_m)
-                sweeps = 0
-                while sweeps < config.max_sweeps_per_level:
-                    sweep_t0 = perf_counter()
-                    sweeps += 1
-                    moved = 0
-                    comm_before = comm.copy()
-                    moves_per_bucket = [0] * len(buckets)
-                    for index, bucket in enumerate(buckets):
-                        if bucket.size == 0:
-                            continue
-                        replies = pool.step(index) if tasks else []
-                        mover_parts = []
-                        label_parts = []
-                        step_seconds = []
-                        for shard, movers, labels, seconds, scored in replies:
-                            mover_parts.append(movers)
-                            label_parts.append(labels)
-                            step_seconds.append(seconds)
-                            stats = shard_stats[shard]
-                            stats["seconds"] += seconds
-                            stats["moves"] += int(movers.size)
-                            stats["scored"] += scored
-                        if step_seconds:
-                            workers_total += sum(step_seconds)
-                            workers_critical += max(step_seconds)
-                        movers = (
-                            np.concatenate(mover_parts) if mover_parts else empty
-                        )
-                        if movers.size == 0:
-                            continue
-                        labels = np.concatenate(label_parts)
-                        old = comm[movers].copy()
-                        comm[movers] = labels
-                        km = k[movers]
-                        np.add.at(volumes, old, -km)
-                        np.add.at(volumes, labels, km)
-                        np.add.at(sizes, old, -1)
-                        np.add.at(sizes, labels, 1)
-                        if tasks:
-                            pool.mark_moved(movers, old, labels)
-                        moved += int(movers.size)
-                        moves_per_bucket[index] = int(movers.size)
-
-                    movers_sweep = np.flatnonzero(comm != comm_before)
-                    if movers_sweep.size:
-                        mover_edges = int(graph.degrees[movers_sweep].sum())
-                        if _DELTA_EDGE_FACTOR * mover_edges >= dst.size:
-                            internal = float(w[comm[src] == comm[dst]].sum())
-                        else:
-                            internal += _sweep_internal_delta(
-                                graph, comm_before, comm, movers_sweep, scratch
-                            )
-                    new_q = internal / two_m - config.resolution * float(
-                        np.square(volumes).sum()
-                    ) / (two_m * two_m)
-                    stats = SweepStats(
-                        sweep=sweeps, moves_per_bucket=moves_per_bucket
-                    )
-                    stats.q_incremental = new_q
-                    profile.add_sweep(stats)
-                    sweep_seconds.append(perf_counter() - sweep_t0)
-                    gain = new_q - q
-                    q = new_q
-                    if moved == 0 or gain < threshold:
-                        break
-
-                comm_out = comm.copy()
-            finally:
-                pool.close()
-
-        # Final Q from a fresh exact scan, like the stock engine.
-        internal = float(w[comm_out[src] == comm_out[dst]].sum())
-        volumes_out = np.bincount(comm_out, weights=k, minlength=n)
-        q = internal / two_m - config.resolution * float(
-            np.square(volumes_out).sum()
-        ) / (two_m * two_m)
-        if profile.sweeps:
-            profile.sweeps[-1].q_exact = q
-
-        if trace_on:
-            for stats, elapsed in zip(profile.sweeps, sweep_seconds):
-                sspan = sweep_span(stats)
-                sspan.seconds = elapsed
-                tracer.attach(sspan)
-            for shard, stats in sorted(shard_stats.items()):
+            # The labels are a shared-memory view, which close() unlinks.
+            outcome.communities = outcome.communities.copy()
+        finally:
+            pool.close()
+        if tracer.enabled:
+            trace_ctx = current_trace_context()
+            for shard, stats in sorted(pool.shard_stats.items()):
                 attributes: dict = {"shard": shard}
                 if trace_ctx is not None:
-                    # Sync-mode workers are pure slice scorers (one step
-                    # per bucket, no spans of their own), so the
-                    # coordinator stamps the request's trace id here.
+                    # Workers are pure slice scorers with no spans of their
+                    # own, so the coordinator stamps the request's trace id.
                     attributes["trace_id"] = trace_ctx.trace_id
                 tracer.attach(
                     Span(
                         name="shard",
                         attributes=attributes,
-                        counters={
-                            "moves": stats["moves"],
-                            "frontier": stats["scored"],
-                        },
+                        counters={"moves": stats["moves"], "frontier": stats["scored"]},
                         seconds=stats["seconds"],
                     )
                 )
-        span.count(
-            sweeps=sweeps,
-            moved=profile.total_moves,
-            modularity=q,
-            workers_seconds_total=workers_total,
-            workers_seconds_critical=workers_critical,
-        )
-    _record_shard_metrics(
-        {shard: stats["seconds"] for shard, stats in shard_stats.items()}
-    )
-    return OptimizationOutcome(comm_out, sweeps, q, profile)
-
-
-def _color_phase(
-    graph: CSRGraph,
-    config: GPULouvainConfig,
-    shard_config: ShardConfig,
-    threshold: float,
-    initial_communities: np.ndarray | None,
-    tracer: Tracer | NullTracer,
-) -> OptimizationOutcome:
-    """One level's optimization phase through the async coloring protocol."""
-    n = graph.num_vertices
-    k = graph.weighted_degrees
-    if initial_communities is None:
-        comm = np.arange(n, dtype=np.int64)
-    else:
-        comm = np.asarray(initial_communities, dtype=np.int64).copy()
-
-    plan = ShardPlan.build(graph, shard_config.workers, method=shard_config.partition)
-    committer = _Committer(
-        graph, k, config.resolution, comm, validate=shard_config.validate_commits
-    )
-
-    # Boundary reconciliation schedule: color the boundary-induced
-    # subgraph once (the level's structure is static) so that each color
-    # class is an independent set — no two adjacent boundary vertices
-    # ever move in the same reconciliation step.
-    boundary = plan.boundary_vertices
-    boundary = boundary[graph.degrees[boundary] > 0]
-    if boundary.size:
-        sub = induced_subgraph(graph, boundary)
-        classes = [boundary[cls] for cls in color_classes(greedy_coloring(sub))]
-    else:
-        classes = []
-
-    with tracer.span(
-        "optimization",
-        sharded=True,
-        mode="color",
-        workers=shard_config.workers,
-        partition=shard_config.partition,
-        pool=shard_config.pool,
-    ) as span:
-        span.set(
-            interior_fraction=round(plan.interior_fraction, 4),
-            boundary_vertices=int(boundary.size),
-            color_classes=len(classes),
-        )
-        sweeps = 0
-        rounds = 0
-        interior_moves = 0
-        boundary_moves = 0
-        workers_total = 0.0
-        workers_critical = 0.0
-        shard_seconds: dict[int, float] = {}
-        q = committer.q
-
-        with SharedArrays() as shared:
-            shared.share("indptr", graph.indptr)
-            shared.share("indices", graph.indices)
-            shared.share("weights", graph.weights)
-            shared.share("k", k)
-            comm_view = shared.share("comm", comm)
-            specs = shared.specs()
-            tasks = []
-            trace_ctx = current_trace_context()
-            for shard in range(plan.num_shards):
-                movable = plan.interior_members(shard)
-                if movable.size == 0:
-                    continue
-                shared.share(f"movable-{shard}", movable)
-                tasks.append(
-                    ShardTask(
-                        shard=shard,
-                        specs=specs,
-                        movable=shared.spec(f"movable-{shard}"),
-                        threshold=threshold,
-                        max_sweeps=config.max_sweeps_per_level,
-                        resolution=config.resolution,
-                        singleton_constraint=config.singleton_constraint,
-                        degree_bucket_bounds=config.degree_bucket_bounds,
-                        group_sizes=config.group_sizes,
-                        trace=trace_ctx,
-                    )
-                )
-
-            while rounds < shard_config.max_rounds:
-                rounds += 1
-                round_t0 = perf_counter()
-                round_moved = 0
-
-                # --- parallel phase: per-shard interior proposals -----
-                if tasks:
-                    comm_view[...] = comm
-                    proposals = _run_workers(tasks, shard_config.pool)
-                    round_total = sum(p.seconds for p in proposals)
-                    round_critical = max(p.seconds for p in proposals)
-                    workers_total += round_total
-                    workers_critical += round_critical
-                    sweeps += max(p.sweeps for p in proposals)
-                    for proposal in proposals:
-                        applied = committer.commit(proposal.movers, proposal.labels)
-                        interior_moves += applied
-                        round_moved += applied
-                        shard_seconds[proposal.shard] = (
-                            shard_seconds.get(proposal.shard, 0.0)
-                            + proposal.seconds
-                        )
-                        if tracer.enabled:
-                            if proposal.span is not None:
-                                # Worker-built span (carries trace_id and
-                                # worker_pid): re-parent it under this
-                                # coordinator's phase span.
-                                shard_span = proposal.span
-                                shard_span.set(round=rounds)
-                                shard_span.count(applied=applied)
-                            else:
-                                shard_span = Span(
-                                    name="shard",
-                                    attributes={
-                                        "shard": proposal.shard,
-                                        "round": rounds,
-                                    },
-                                    counters={
-                                        "moves": proposal.moved,
-                                        "applied": applied,
-                                        "sweeps": proposal.sweeps,
-                                        "frontier": proposal.scored,
-                                    },
-                                    seconds=proposal.seconds,
-                                )
-                            tracer.attach(shard_span)
-
-                # --- boundary reconciliation, one color class at a time
-                reconciled = 0
-                for members in classes:
-                    new_comm = compute_moves_vectorized(
-                        graph,
-                        committer.comm,
-                        committer.volumes,
-                        committer.sizes,
-                        members,
-                        k=k,
-                        singleton_constraint=config.singleton_constraint,
-                        resolution=config.resolution,
-                    )
-                    changed = new_comm != committer.comm[members]
-                    if changed.any():
-                        reconciled += committer.commit(
-                            members[changed], new_comm[changed]
-                        )
-                boundary_moves += reconciled
-                round_moved += reconciled
-                if reconciled:
-                    sweeps += 1
-
-                # --- round guard: exact Q must not move backwards -----
-                new_q = committer.exact_q()
-                if new_q < q - Q_GUARD_EPS:
-                    raise ReconciliationError(
-                        f"reconciliation round {rounds} decreased modularity "
-                        f"from {q:.12f} to {new_q:.12f} "
-                        f"(delta {new_q - q:.3e} < -{Q_GUARD_EPS:.0e})"
-                    )
-                gain = new_q - q
-                q = new_q
-                if tracer.enabled:
-                    tracer.attach(
-                        Span(
-                            name="reconciliation",
-                            attributes={"round": rounds},
-                            counters={
-                                "moved": round_moved,
-                                "boundary_moved": reconciled,
-                                "modularity": q,
-                            },
-                            seconds=perf_counter() - round_t0,
-                        )
-                    )
-                if round_moved == 0 or gain < threshold:
-                    break
-
-        profile = PhaseProfile()
-        outcome = OptimizationOutcome(comm, max(sweeps, 1), q, profile)
-
-        # --- polish: full warm-started single-process phase -----------
-        if shard_config.polish:
-            polished = modularity_optimization(
-                graph,
-                config,
-                threshold,
-                initial_communities=comm,
-                tracer=None,
+            _count_phase(span, outcome)
+            span.count(
+                workers_seconds_total=pool.workers_total,
+                workers_seconds_critical=pool.workers_critical,
             )
-            if polished.modularity >= q - Q_GUARD_EPS:
-                outcome = OptimizationOutcome(
-                    polished.communities,
-                    outcome.sweeps + polished.sweeps,
-                    polished.modularity,
-                    polished.profile,
-                )
-
-        span.count(
-            sweeps=outcome.sweeps,
-            rounds=rounds,
-            moved=interior_moves + boundary_moves,
-            interior_moves=interior_moves,
-            boundary_moves=boundary_moves,
-            dropped_moves=committer.dropped,
-            workers_seconds_total=workers_total,
-            workers_seconds_critical=workers_critical,
-            modularity=outcome.modularity,
-        )
-    _record_shard_metrics(shard_seconds, rounds=rounds)
+    _record_shard_metrics(
+        {shard: stats["seconds"] for shard, stats in pool.shard_stats.items()}
+    )
     return outcome
 
 
@@ -901,12 +333,12 @@ def sharded_louvain(
 ) -> GPULouvainResult:
     """Multi-process Louvain over shared-memory CSR shards.
 
-    Mirrors :func:`~repro.core.gpu_louvain.gpu_louvain` (same result
-    type, same level/threshold/stopping rules); levels with at least
-    ``shard.shard_min_vertices`` vertices run the sharded protocol,
-    coarser levels fall back to the single-process vectorized engine.
-    Keyword overrides build the solver config, e.g.
-    ``sharded_louvain(g, shard=ShardConfig(workers=4))``.
+    A drop-in peer of :func:`~repro.core.gpu_louvain.gpu_louvain` (same
+    level loop and result, bit-identical output); levels with at least
+    ``shard.shard_min_vertices`` vertices optimize through the sharded
+    phase.  Keyword overrides build the solver config, e.g.
+    ``sharded_louvain(g, shard=ShardConfig(workers=4))``.  Requires the
+    vectorized engine with the per-bucket commit discipline.
     """
     if config is None:
         config = GPULouvainConfig(**overrides)
@@ -914,135 +346,36 @@ def sharded_louvain(
         raise TypeError("pass either a config object or keyword overrides, not both")
     if config.engine != "vectorized":
         raise ValueError("the sharded driver requires the vectorized engine")
+    if config.relaxed_updates:
+        raise ValueError(
+            "sharded_louvain requires the per-bucket commit discipline "
+            "(relaxed_updates=False)"
+        )
     if shard is None:
         shard = ShardConfig()
-    if initial_communities is not None:
-        initial_communities = np.asarray(initial_communities, dtype=np.int64)
-        if initial_communities.shape != (graph.num_vertices,):
-            raise ValueError("initial_communities must assign one label per vertex")
 
-    tracer = as_tracer(tracer)
-    if not tracer.enabled:
-        return _run_sharded(graph, config, shard, initial_communities, tracer)
-    with tracer.span(
-        "run",
+    def optimize(level_graph, config, threshold, *, initial_communities, cost_model, tracer):
+        if (
+            shard.workers > 1
+            and level_graph.num_vertices >= shard.shard_min_vertices
+            and level_graph.total_weight > 0.0
+        ):
+            return _sync_phase(
+                level_graph, config, shard, threshold, initial_communities, tracer
+            )
+        return modularity_optimization(
+            level_graph, config, threshold,
+            initial_communities=initial_communities, tracer=tracer,
+        )
+
+    return _run(
+        graph,
+        config,
+        initial_communities,
+        tracer,
+        optimize=optimize,
         engine="sharded",
         workers=shard.workers,
         partition=shard.partition,
         pool=shard.pool,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        warm_start=initial_communities is not None,
-    ) as span:
-        result = _run_sharded(graph, config, shard, initial_communities, tracer)
-        span.count(
-            modularity=result.modularity,
-            num_levels=result.num_levels,
-            num_communities=result.num_communities,
-            sweeps=sum(result.sweeps_per_level),
-        )
-    return result
-
-
-def _run_sharded(
-    graph: CSRGraph,
-    config: GPULouvainConfig,
-    shard: ShardConfig,
-    initial_communities: np.ndarray | None,
-    tracer: Tracer | NullTracer,
-) -> GPULouvainResult:
-    """:func:`sharded_louvain` body (config validated, tracer normalised)."""
-    timings = RunTimings()
-    levels: list[np.ndarray] = []
-    level_sizes: list[tuple[int, int]] = []
-    sweeps_per_level: list[int] = []
-    modularity_per_level: list[float] = []
-    current = graph
-    prev_q = -1.0
-    first_phase_sweeps = 0
-    first_phase_seconds = 0.0
-
-    for level in range(config.max_levels):
-        threshold = config.threshold_for(current.num_vertices)
-        use_shards = (
-            shard.workers > 1
-            and current.num_vertices >= shard.shard_min_vertices
-            and current.total_weight > 0.0
-        )
-        stage = timings.new_stage(current.num_vertices, current.num_edges)
-        with tracer.span(
-            "level",
-            level=level,
-            num_vertices=current.num_vertices,
-            num_edges=current.num_edges,
-            threshold=threshold,
-            sharded=use_shards,
-        ) as level_span:
-            with Stopwatch(stage, "optimization_seconds"):
-                if use_shards:
-                    phase = _sync_phase if shard.mode == "sync" else _color_phase
-                    outcome = phase(
-                        current,
-                        config,
-                        shard,
-                        threshold,
-                        initial_communities if level == 0 else None,
-                        tracer,
-                    )
-                else:
-                    outcome = modularity_optimization(
-                        current,
-                        config,
-                        threshold,
-                        initial_communities=(
-                            initial_communities if level == 0 else None
-                        ),
-                        tracer=tracer,
-                    )
-            if level == 0:
-                first_phase_sweeps = outcome.sweeps
-                first_phase_seconds = stage.optimization_seconds
-            with Stopwatch(stage, "aggregation_seconds"):
-                agg = aggregate_gpu(current, outcome.communities, config, tracer=tracer)
-
-            no_contraction = agg.graph.num_vertices == current.num_vertices
-            degenerate = (
-                no_contraction
-                and levels
-                and np.array_equal(
-                    agg.dense_map, np.arange(current.num_vertices, dtype=np.int64)
-                )
-            )
-            if degenerate:
-                timings.stages.pop()
-                level_span.set(degenerate=True)
-                break
-
-            levels.append(agg.dense_map)
-            level_sizes.append((current.num_vertices, current.num_edges))
-            sweeps_per_level.append(outcome.sweeps)
-            stage.sweeps = outcome.sweeps
-            stage.sweep_stats = outcome.profile.sweeps
-            membership = flatten_levels(levels)
-            q = modularity(graph, membership, resolution=config.resolution)
-            modularity_per_level.append(q)
-            stage.modularity = q
-            level_span.count(sweeps=outcome.sweeps, modularity=q)
-
-            current = agg.graph
-            if q - prev_q < config.threshold_final or no_contraction:
-                break
-            prev_q = q
-
-    membership = flatten_levels(levels)
-    return GPULouvainResult(
-        levels=levels,
-        level_sizes=level_sizes,
-        membership=membership,
-        modularity=modularity(graph, membership, resolution=config.resolution),
-        modularity_per_level=modularity_per_level,
-        sweeps_per_level=sweeps_per_level,
-        timings=timings,
-        first_phase_sweeps=first_phase_sweeps,
-        first_phase_seconds=first_phase_seconds,
     )

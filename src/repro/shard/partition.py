@@ -1,45 +1,31 @@
 """CSR partitioning for the sharded engine.
 
 A *shard plan* assigns every vertex to exactly one of ``num_shards``
-shards and classifies each vertex as **interior** (every neighbour in
-the same shard) or **boundary** (at least one cross-shard neighbour).
-Interior vertices can be optimized concurrently by per-shard workers
-without any cross-shard coordination: two interior vertices of different
-shards are never adjacent (an edge between them would make both
-boundary), so their candidate target communities are discovered through
-disjoint neighbourhoods.  Boundary vertices are frozen during the
-parallel phase and reconciled on the coordinator (see
-:mod:`repro.shard.engine`).
+shards; each shard's worker scores that slice of every degree bucket
+(see :mod:`repro.shard.engine`).
 
 Two partitioners:
 
 ``hash``
     Deterministic splitmix64 hash of the vertex id modulo shard count.
-    Balanced by construction, oblivious to structure — high cut on
-    meshes, the right default for adversarial/unknown graphs.
+    Balanced by construction, oblivious to structure.
 ``bfs``
     BFS-grown blocks: repeatedly seed from the lowest-id unassigned
     vertex and grow a frontier until the block reaches ``ceil(n /
     num_shards)`` vertices.  On road networks and meshes this produces
-    contiguous blocks with small perimeters, i.e. mostly-interior
-    shards — the property the parallel phase's efficiency rides on.
+    contiguous blocks of neighbouring vertices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..gpu.thrust import gather_rows
 from ..graph.csr import CSRGraph
 
-__all__ = [
-    "ShardPlan",
-    "hash_partition",
-    "bfs_partition",
-    "boundary_mask",
-]
+__all__ = ["ShardPlan", "hash_partition", "bfs_partition"]
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -107,41 +93,19 @@ def bfs_partition(graph: CSRGraph, num_shards: int) -> np.ndarray:
     return parts
 
 
-def boundary_mask(graph: CSRGraph, parts: np.ndarray) -> np.ndarray:
-    """Boolean mask of vertices with at least one cross-shard neighbour.
-
-    Symmetric by construction: an edge ``{u, v}`` with ``parts[u] !=
-    parts[v]`` is stored in both rows, so it marks both endpoints.
-    """
-    parts = np.asarray(parts, dtype=np.int64)
-    src_parts = np.repeat(parts, graph.degrees)
-    cross = src_parts != parts[graph.indices]
-    mask = np.zeros(graph.num_vertices, dtype=bool)
-    if cross.any():
-        mask[graph.vertex_of_edge[cross]] = True
-    return mask
-
-
 @dataclass(frozen=True)
 class ShardPlan:
-    """One level's vertex-to-shard assignment plus the interior split.
+    """One level's vertex-to-shard assignment.
 
-    Invariants (pinned in ``tests/shard/test_partition.py``): every
-    vertex lives in exactly one shard; ``boundary`` is symmetric (if
-    ``v`` is boundary because of neighbour ``u``, then ``u`` is boundary
-    too); ``interior = ~boundary``; interior vertices of different
-    shards are never adjacent.
+    Invariant (pinned in ``tests/shard/test_partition.py``): every
+    vertex lives in exactly one shard.
     """
 
     num_shards: int
     parts: np.ndarray
-    boundary: np.ndarray
-    interior: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", np.asarray(self.parts, dtype=np.int64))
-        object.__setattr__(self, "boundary", np.asarray(self.boundary, dtype=bool))
-        object.__setattr__(self, "interior", ~self.boundary)
 
     @classmethod
     def build(
@@ -149,8 +113,8 @@ class ShardPlan:
     ) -> "ShardPlan":
         """Partition ``graph`` into ``num_shards`` shards.
 
-        ``method`` is ``"bfs"`` (contiguous blocks, low cut on spatial
-        graphs) or ``"hash"`` (structure-oblivious, balanced).
+        ``method`` is ``"bfs"`` (contiguous blocks) or ``"hash"``
+        (structure-oblivious, balanced).
         """
         if method == "hash":
             parts = hash_partition(graph.num_vertices, num_shards)
@@ -158,27 +122,8 @@ class ShardPlan:
             parts = bfs_partition(graph, num_shards)
         else:
             raise ValueError(f"unknown partition method: {method!r}")
-        return cls(
-            num_shards=num_shards,
-            parts=parts,
-            boundary=boundary_mask(graph, parts),
-        )
+        return cls(num_shards=num_shards, parts=parts)
 
     def shard_members(self, shard: int) -> np.ndarray:
         """All vertices assigned to ``shard``."""
         return np.flatnonzero(self.parts == shard)
-
-    def interior_members(self, shard: int) -> np.ndarray:
-        """Interior vertices of ``shard`` (the worker's move set)."""
-        return np.flatnonzero((self.parts == shard) & self.interior)
-
-    @property
-    def boundary_vertices(self) -> np.ndarray:
-        """All boundary vertices (the coordinator's reconciliation set)."""
-        return np.flatnonzero(self.boundary)
-
-    @property
-    def interior_fraction(self) -> float:
-        """Fraction of vertices the parallel phase may move."""
-        n = self.parts.size
-        return float(self.interior.sum()) / n if n else 0.0

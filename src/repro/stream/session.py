@@ -99,7 +99,7 @@ class StreamConfig:
         (multi-process Louvain for the full-pipeline paths).
     shard:
         Engine options for ``algo="sharded"`` — a dict with any of
-        ``workers`` / ``pool`` / ``mode`` / ``partition``, passed to
+        ``workers`` / ``pool`` / ``partition``, passed to
         :class:`~repro.core.engine.ShardedEngine`.  Only valid with the
         sharded algo.
     """
@@ -120,7 +120,7 @@ class StreamConfig:
         if self.shard is not None:
             if self.algo != "sharded":
                 raise ValueError("shard options require algo='sharded'")
-            allowed = {"workers", "pool", "mode", "partition"}
+            allowed = {"workers", "pool", "partition"}
             unknown = set(self.shard) - allowed
             if unknown:
                 raise ValueError(
@@ -191,6 +191,17 @@ class StreamConfig:
         # Written by every config before the field was retired; both of
         # its values ran the same sweeps, so it carries no information.
         data.pop("use_sweep_plan", None)
+        if isinstance(data.get("shard"), dict) and "mode" in data["shard"]:
+            # Sharded sessions stored before color mode was retired carry
+            # the protocol name; "sync" is the one protocol left.
+            shard = dict(data["shard"])
+            mode = shard.pop("mode")
+            if mode != "sync":
+                raise ValueError(
+                    f"shard mode {mode!r} was retired; the sharded engine runs "
+                    "only the former 'sync' protocol"
+                )
+            data["shard"] = shard
         stream_kwargs = {
             spec.name: data.pop(spec.name)
             for spec in dataclasses.fields(cls)

@@ -87,9 +87,9 @@ class TraceContext:
     run); ``span_path`` is the ``/``-joined name path of the span under
     which remotely-produced spans should re-parent (e.g.
     ``"request/batch/level"``).  The dataclass is frozen and picklable,
-    so it travels verbatim over the shard coordinator→worker command
-    pipe and re-parents worker spans under the originating request
-    instead of leaving orphan trees.
+    so it can travel verbatim to another process and re-parent the spans
+    made there under the originating request instead of leaving orphan
+    trees.
     """
 
     trace_id: str
@@ -358,7 +358,7 @@ class Tracer:
             # Attached spans are already closed, so they are flight-
             # recorded here (a with-span records at __exit__); their
             # path extends the currently-open stack — this is how
-            # shard worker spans reach the ring.
+            # the sharded engine's per-shard spans reach the ring.
             prefix = "/".join(s.name for s in self._stack)
             self.flight.record_span(
                 span.name,

@@ -80,7 +80,7 @@ def test_coloring_always_proper(g):
 def test_coloring_is_valid_distance1_and_bounded(g):
     """The vectorized coloring stays a valid distance-1 coloring.
 
-    Pinned for the sharded engine's boundary reconciliation: colors of
+    Pinned for the lu comparator's independent sets: colors of
     adjacent vertices differ, every vertex is colored, and at most
     ``max_degree + 1`` colors are used (the mex bound the old first-fit
     implementation also guaranteed).
@@ -107,8 +107,7 @@ def test_class_structure_pinned_on_seed_graphs():
 
     The speculative coloring is deterministic (hash priorities, no RNG
     state), so the classes must not drift across refactors — the lu
-    comparator and the sharded boundary reconciliation both consume
-    them.
+    comparator consumes them.
     """
     karate_classes = [c.tolist() for c in color_classes(greedy_coloring(karate_club()))]
     assert karate_classes == [

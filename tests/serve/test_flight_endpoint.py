@@ -198,28 +198,6 @@ def test_sharded_serve_request_yields_one_stitched_tree(server, client):
     assert stitched.find("shard")
 
 
-def test_sharded_color_mode_reparents_worker_built_spans(server, client):
-    client.create_session(
-        "sh2",
-        generate={"family": "social", "n": 300, "m": 6, "seed": 4},
-        config={
-            "algo": "sharded",
-            "shard": {"pool": "inline", "workers": 2, "mode": "color"},
-            "frontier_fraction_limit": 0.001,
-        },
-    )
-    client.batch("sh2", add=([4], [80]))
-    trace_id = client.last_trace_id
-    session = server.manager.get("sh2")
-    (root,) = [s for s in session.tracer.roots if s.name == "request"]
-    shards = root.find("shard")
-    assert shards, "color mode attached no shard spans"
-    for span in shards:
-        # Worker-built: stamped with the trace id and the builder's pid.
-        assert span.attributes["trace_id"] == trace_id
-        assert "worker_pid" in span.attributes
-
-
 def test_batch_enqueued_log_precedes_apply(server, client):
     client.create_session("q1", generate={"family": "ring", "n": 30})
     client.batch("q1", add=([2], [11]))

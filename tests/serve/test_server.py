@@ -4,6 +4,7 @@ coalescing, and the bit-identity acceptance test vs. an offline session."""
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -196,6 +197,23 @@ def test_unknown_algo_on_create_is_bad_request_envelope(server, client):
     assert server.stats.errors >= 2
 
 
+def test_session_config_with_retired_shard_mode(client):
+    """Stored session configs may still name the shard protocol."""
+    shard = {"pool": "inline", "workers": 2}
+    client.create_session(
+        "old", generate={"family": "karate"},
+        config={"algo": "sharded", "shard": {**shard, "mode": "sync"}},
+    )
+    assert client.batch("old", add=([0], [9]))["batch"] == 1
+    with pytest.raises(ServeError) as excinfo:
+        client.create_session(
+            "color", generate={"family": "karate"},
+            config={"algo": "sharded", "shard": {**shard, "mode": "color"}},
+        )
+    assert excinfo.value.code == "bad_request"
+    assert "'color' was retired" in excinfo.value.message
+
+
 @pytest.mark.parametrize("algo", ["leiden", "lpa"])
 def test_algo_flows_through_session_create(client, algo):
     graph, _ = caveman(4, 6)
@@ -246,6 +264,54 @@ def test_invalid_batch_rejected_without_poisoning_the_burst(client):
     # the session still works
     result = client.batch("s", add=([0], [5]))
     assert result["batch"] == 1
+
+
+def test_batch_values_a_cast_would_change_are_invalid_batch(client):
+    graph, _ = caveman(3, 5)
+    client.create_session("s", edges=_edges_payload(graph))
+    before = client.info("s")
+    for add in (
+        {"u": [1.7], "v": [5]},
+        {"u": [0, True], "v": [5, 6]},
+        {"u": [0], "v": [5], "w": [float("nan")]},  # the client writes NaN
+    ):
+        with pytest.raises(ServeError) as excinfo:
+            client.request("POST", "/sessions/s/batch", body={"add": add})
+        assert excinfo.value.code == "invalid_batch", add
+    assert client.info("s") == before
+    with pytest.raises(ServeError) as excinfo:
+        client.create_session("t", edges={"u": [0, 1.5], "v": [1, 2]})
+    assert excinfo.value.code == "bad_request"
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw bytes; return all the server writes until it closes."""
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize("length", [b"-5", b"abc"])
+def test_invalid_content_length_is_bad_request_and_closes(server, length):
+    # The body is a whole request of its own: a server that read the
+    # header as 0 would answer it as a second request.
+    smuggled = b"GET /v1/health HTTP/1.1\r\nHost: x\r\n\r\n"
+    data = _raw_exchange(
+        server,
+        b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\nContent-Length: "
+        + length + b"\r\n\r\n" + smuggled,
+    )
+    assert data.count(b"HTTP/1.1 ") == 1, data
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"]["code"] == "bad_request"
+    # the server is still serving
+    with ServeClient(port=server.port) as fresh:
+        assert fresh.health()["ok"]
 
 
 # --------------------------------------------------------------------- #

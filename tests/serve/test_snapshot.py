@@ -4,13 +4,14 @@ uninterrupted one — bit-identical graph, membership and future applies."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.generators import caveman, karate_club
+from repro.graph.generators import caveman, karate_club, social_network
 from repro.serve import (
     SNAPSHOT_SCHEMA,
     restore_session,
@@ -108,6 +109,42 @@ def test_sidecar_with_retired_use_sweep_plan_restores(tmp_path, value):
     np.testing.assert_array_equal(result_a.membership, result_b.membership)
     assert result_a.modularity == result_b.modularity
     _assert_sessions_equal(original, restored)
+
+
+def test_sidecar_with_retired_shard_mode_restores(tmp_path):
+    """Sharded sidecars written while color mode existed carry ``shard.mode``.
+
+    ``"sync"`` was the protocol every such session ran, and it is the one
+    left, so the key is dropped and the next apply is unchanged: a full
+    sharded rerun, bit-identical to the single-process engine's.
+    """
+    graph = social_network(300, 6, rng=4)
+    shard = {"pool": "inline", "workers": 2}
+    config = StreamConfig(algo="sharded", shard=shard, frontier_fraction_limit=0.001)
+    original = StreamSession(graph, config)
+    original.apply(add=(np.array([0, 8]), np.array([160, 240]), None))
+    snapshot_session(original, tmp_path / "old")
+    sidecar = tmp_path / "old.json"
+    payload = json.loads(sidecar.read_text())
+    payload["config"]["shard"] = {**shard, "mode": "sync"}
+    sidecar.write_text(json.dumps(payload))
+
+    restored = restore_session(tmp_path / "old")
+    _assert_sessions_equal(original, restored)
+    single = StreamSession(graph, replace(config, algo="louvain", shard=None))
+    single.apply(add=(np.array([0, 8]), np.array([160, 240]), None))
+    batch = (np.array([1, 9, 30]), np.array([170, 33, 299]), None)
+    results = [s.apply(add=batch) for s in (original, restored, single)]
+    assert {r.mode for r in results} == {"full"}
+    for result in results[1:]:
+        np.testing.assert_array_equal(result.membership, results[0].membership)
+        assert result.modularity == results[0].modularity
+    _assert_sessions_equal(original, restored)
+
+    payload["config"]["shard"]["mode"] = "color"
+    sidecar.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match="'color' was retired"):
+        restore_session(tmp_path / "old")
 
 
 # --------------------------------------------------------------------- #
