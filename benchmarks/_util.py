@@ -9,16 +9,26 @@ directory carry the numbers that EXPERIMENTS.md records.
 (``<name>.trace.json``), so BENCH_* artifacts carry a per-phase
 breakdown — level / optimization / aggregation / sweep spans — instead
 of a single end-to-end number.
+
+:func:`flight_journal` tees a benchmark's tracers through a
+:class:`~repro.obs.flight.FlightRecorder` journal in ``FLIGHT_DIR``,
+where CI's failure bundle (``repro debug-bundle --flight-dir``) reads
+the spans of a failed run.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-__all__ = ["emit", "emit_report", "RESULTS_DIR", "TRAJECTORY_PATH"]
+#: Where benchmark tracers journal their spans (what CI's failure bundle reads).
+FLIGHT_DIR = RESULTS_DIR / "flight"
+
+__all__ = ["emit", "emit_report", "flight_journal", "FLIGHT_DIR", "RESULTS_DIR", "TRAJECTORY_PATH"]
 
 
 def emit(name: str, text: str) -> Path:
@@ -28,6 +38,23 @@ def emit(name: str, text: str) -> Path:
     path.write_text(text + "\n")
     print(f"\n{text}\n[written to {path}]")
     return path
+
+
+@contextmanager
+def flight_journal(flight_dir: str | Path = FLIGHT_DIR):
+    """A :class:`~repro.obs.flight.FlightRecorder` journaling to ``flight_dir``.
+
+    Pass it to ``Tracer(flight=...)``; every closed span is appended to
+    ``flight-<pid>.jsonl`` there as it closes, so a crashed or failed
+    run still leaves its spans behind.
+    """
+    from repro.obs.flight import FlightRecorder
+
+    recorder = FlightRecorder(journal=Path(flight_dir) / f"flight-{os.getpid()}.jsonl")
+    try:
+        yield recorder
+    finally:
+        recorder.close()
 
 
 TRAJECTORY_PATH = RESULTS_DIR / "BENCH_trajectory.json"

@@ -15,7 +15,10 @@ final Q, worst per-batch NMI against a warm full run (the audit
 semantics), and wall time.  CI's ``quality-bench`` job fails if leiden's
 NMI-vs-full on the nlpkkt200 scenario regresses below the floor
 committed in ``results/BENCH_quality_gate.json`` — the streaming quality
-degeneracy this repository's leiden engine exists to fix.
+degeneracy this repository's leiden engine exists to fix.  Each
+scenario's session is traced (trace id ``quality-<graph>-<algo>``) into
+the flight journal under ``results/flight``, which that job's failure
+bundle reads.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ from repro.metrics.quality import normalized_mutual_information
 from repro.parallel import coarse_louvain, lu_louvain, plm_louvain
 from repro.seq.louvain import louvain as sequential_louvain
 from repro.stream import StreamConfig, StreamSession
+from repro.trace import Tracer
 
-from _util import RESULTS_DIR, emit
+from _util import RESULTS_DIR, emit, flight_journal
 
 MIXINGS = (0.1, 0.25, 0.4, 0.55)
 
@@ -123,40 +127,39 @@ def _churn_batch(graph, count, rng):
     return (au, av, None), (eu[pick], ev[pick])
 
 
+def stream_scenario(name, base, algo, recorder, *, batches=STREAM_BATCHES):
+    """One (graph, algo) churn run; its session's spans go to ``recorder``."""
+    rng = np.random.default_rng(7)  # identical churn per algo
+    config = StreamConfig(algo=algo, screening="local", frontier_scope="endpoints")
+    engine = get_engine(algo)
+    tracer = Tracer(flight=recorder, trace_id=f"quality-{name}-{algo}")
+    start = perf_counter()
+    session = StreamSession(base, config, tracer=tracer)
+    worst = 1.0
+    batch_edges = max(1, int(base.num_edges * STREAM_CHURN))
+    for _ in range(batches):
+        add, remove = _churn_batch(session.graph, batch_edges, rng)
+        before = session.membership.copy()
+        result = session.apply(add=add, remove=remove)
+        full = engine.detect(session.graph, config.louvain, initial_communities=before)
+        worst = min(
+            worst, normalized_mutual_information(result.membership, full.membership)
+        )
+    return {
+        "q_final": session.modularity,
+        "worst_nmi_vs_full": worst,
+        "seconds": perf_counter() - start,
+    }
+
+
 @pytest.fixture(scope="module")
 def algo_comparison():
     rows = {}
-    for name in STREAM_GRAPHS:
-        entry = next(e for e in SUITE if e.name == name)
-        base = entry.load(1.0)
-        for algo in ALGO_NAMES:
-            rng = np.random.default_rng(7)  # identical churn per algo
-            config = StreamConfig(
-                algo=algo, screening="local", frontier_scope="endpoints"
-            )
-            engine = get_engine(algo)
-            start = perf_counter()
-            session = StreamSession(base, config)
-            worst = 1.0
-            batch_edges = max(1, int(base.num_edges * STREAM_CHURN))
-            for _ in range(STREAM_BATCHES):
-                add, remove = _churn_batch(session.graph, batch_edges, rng)
-                before = session.membership.copy()
-                result = session.apply(add=add, remove=remove)
-                full = engine.detect(
-                    session.graph, config.louvain, initial_communities=before
-                )
-                worst = min(
-                    worst,
-                    normalized_mutual_information(
-                        result.membership, full.membership
-                    ),
-                )
-            rows[(name, algo)] = {
-                "q_final": session.modularity,
-                "worst_nmi_vs_full": worst,
-                "seconds": perf_counter() - start,
-            }
+    with flight_journal() as recorder:
+        for name in STREAM_GRAPHS:
+            base = next(e for e in SUITE if e.name == name).load(1.0)
+            for algo in ALGO_NAMES:
+                rows[(name, algo)] = stream_scenario(name, base, algo, recorder)
     return rows
 
 

@@ -28,7 +28,6 @@ from .graph import CSRGraph, from_edges, load_graph
 from .metrics import modularity
 from .result import LouvainResult, StreamResult
 from .seq import louvain as sequential_louvain
-from .shard import ShardConfig, sharded_louvain
 from .stream import StreamConfig, StreamSession
 from .trace import RunReport, Tracer, report_from_result
 
@@ -39,8 +38,6 @@ __all__ = [
     "GPULouvainConfig",
     "GPULouvainResult",
     "sequential_louvain",
-    "sharded_louvain",
-    "ShardConfig",
     "StreamSession",
     "StreamConfig",
     "StreamResult",

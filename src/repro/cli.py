@@ -22,7 +22,6 @@ Examples::
     python -m repro generate social -n 5000 -m 8 -o social.txt
     python -m repro info social.txt
     python -m repro detect social.txt --solver gpu -o communities.txt
-    python -m repro detect social.txt --engine sharded --workers 4
     python -m repro stream social.txt --updates batches.txt -o final.txt
     python -m repro stream social.txt --synthetic 200 --batches 5
     python -m repro suite --name road_usa -o road.txt
@@ -75,19 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     detect.add_argument(
         "--engine",
-        choices=["vectorized", "simulated", "sharded"],
+        choices=["vectorized", "simulated"],
         default="vectorized",
-        help="gpu solver execution engine (sharded = multi-process "
-             "workers over shared-memory CSR)",
+        help="gpu solver execution engine",
     )
-    detect.add_argument("--workers", type=int, default=2,
-                        help="worker process count for --engine sharded")
-    detect.add_argument("--shard-partition", choices=["bfs", "hash"],
-                        default="bfs",
-                        help="vertex-to-shard assignment (sharded engine)")
-    detect.add_argument("--shard-pool", choices=["fork", "spawn", "inline"],
-                        default="fork",
-                        help="worker pool kind for --engine sharded")
     detect.add_argument("--threshold-bin", type=float, default=1e-2)
     detect.add_argument("--threshold-final", type=float, default=1e-6)
     detect.add_argument("--bin-vertex-limit", type=int, default=100_000)
@@ -130,12 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="rng seed for --synthetic")
     stream.add_argument(
         "--algo",
-        choices=["louvain", "lpa", "leiden", "sharded"],
+        choices=["louvain", "lpa", "leiden"],
         default="louvain",
         help="detection algorithm for the session (leiden refines every "
              "contraction, fixing deletion-induced disconnected "
-             "communities; lpa = frontier-seeded label propagation; "
-             "sharded = multi-process Louvain for full-pipeline batches)",
+             "communities; lpa = frontier-seeded label propagation)",
     )
     stream.add_argument("--screening", choices=["local", "exact"], default="local",
                         help="delta-screening mode (exact = bit-parity with a "
@@ -426,43 +415,21 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
-        if args.engine == "sharded":
-            if args.algo != "louvain":
-                print("error: --engine sharded supports --algo louvain only",
-                      file=sys.stderr)
-                return 2
-            from .shard import ShardConfig, sharded_louvain
+        from .core.config import GPULouvainConfig
+        from .core.engine import get_engine
 
-            result = sharded_louvain(
-                graph,
-                shard=ShardConfig(
-                    workers=args.workers,
-                    partition=args.shard_partition,
-                    pool=args.shard_pool,
-                ),
+        result = get_engine(args.algo).detect(
+            graph,
+            GPULouvainConfig(
+                engine=args.engine,
                 threshold_bin=args.threshold_bin,
                 threshold_final=args.threshold_final,
                 bin_vertex_limit=args.bin_vertex_limit,
                 resolution=args.resolution,
-                initial_communities=initial,
-                tracer=tracer,
-            )
-        else:
-            from .core.config import GPULouvainConfig
-            from .core.engine import get_engine
-
-            result = get_engine(args.algo).detect(
-                graph,
-                GPULouvainConfig(
-                    engine=args.engine,
-                    threshold_bin=args.threshold_bin,
-                    threshold_final=args.threshold_final,
-                    bin_vertex_limit=args.bin_vertex_limit,
-                    resolution=args.resolution,
-                ),
-                initial_communities=initial,
-                tracer=tracer,
-            )
+            ),
+            initial_communities=initial,
+            tracer=tracer,
+        )
     else:
         # The reference solvers run behind the same Engine protocol.
         from .core.config import GPULouvainConfig

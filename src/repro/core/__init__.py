@@ -14,7 +14,6 @@ from .engine import (
     LabelPropagationEngine,
     LeidenEngine,
     LouvainEngine,
-    ShardedEngine,
     SolverEngine,
     get_engine,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "LouvainEngine",
     "LeidenEngine",
     "LabelPropagationEngine",
-    "ShardedEngine",
     "SolverEngine",
     "get_engine",
     "ALGO_NAMES",

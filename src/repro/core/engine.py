@@ -62,7 +62,6 @@ __all__ = [
     "LabelPropagationEngine",
     "LeidenEngine",
     "LouvainEngine",
-    "ShardedEngine",
     "SolverEngine",
     "get_engine",
 ]
@@ -225,54 +224,6 @@ class LabelPropagationEngine(Engine):
         )
 
 
-class ShardedEngine(Engine):
-    """Multi-process sharded Louvain (:mod:`repro.shard`) as an engine.
-
-    ``detect`` dispatches to :func:`~repro.shard.engine.sharded_louvain`
-    (lazily imported — the shard package pulls in multiprocessing
-    machinery the single-process paths never need).  Streaming batches
-    use the inherited Louvain-style session pipeline; only the periodic
-    full reruns (``too_wide`` / audits) fan out across shard workers,
-    which is exactly where the extra cores pay off.  The sharded phase
-    stamps the caller's :class:`~repro.trace.TraceContext` trace id on
-    its per-shard spans, so they land in the same stitched request tree.
-    """
-
-    name = "sharded"
-
-    def __init__(
-        self,
-        workers: int = 2,
-        pool: str = "fork",
-        partition: str = "bfs",
-    ) -> None:
-        self.workers = int(workers)
-        self.pool = str(pool)
-        self.partition = str(partition)
-
-    def detect(
-        self,
-        graph,
-        config: GPULouvainConfig | None = None,
-        *,
-        initial_communities: np.ndarray | None = None,
-        tracer: Tracer | NullTracer | None = None,
-    ) -> LouvainResult:
-        from ..shard.engine import ShardConfig, sharded_louvain
-
-        return sharded_louvain(
-            graph,
-            config,
-            shard=ShardConfig(
-                workers=self.workers,
-                pool=self.pool,
-                partition=self.partition,
-            ),
-            initial_communities=initial_communities,
-            tracer=tracer,
-        )
-
-
 class SolverEngine(Engine):
     """Adapter putting the reference solvers behind :meth:`detect`.
 
@@ -364,26 +315,22 @@ _SOLVER_RUNNERS = {
 }
 
 #: The streaming-capable algorithm names (``--algo`` choices).
-ALGO_NAMES = ("louvain", "leiden", "lpa", "sharded")
+ALGO_NAMES = ("louvain", "leiden", "lpa")
 
 _ALGO_CLASSES = {
     "louvain": LouvainEngine,
     "leiden": LeidenEngine,
     "lpa": LabelPropagationEngine,
-    "sharded": ShardedEngine,
 }
 
 
 def get_engine(name: str, **options) -> Engine:
     """Resolve an engine by name (``--algo`` / ``--solver`` values).
 
-    ``options`` are engine-specific construction arguments (``sharded``
-    takes ``workers`` / ``pool`` / ``partition``; ``multigpu``
+    ``options`` are engine-specific construction arguments (``multigpu``
     takes ``devices``).  Raises :class:`ValueError` for unknown names,
     listing the valid ones.
     """
-    if name == "sharded":
-        return ShardedEngine(**options)
     if name in _ALGO_CLASSES:
         if options:
             raise TypeError(f"engine {name!r} takes no options")

@@ -93,28 +93,6 @@ def gpu_louvain(
         config = GPULouvainConfig(**overrides)
     elif overrides:
         raise TypeError("pass either a config object or keyword overrides, not both")
-    return _run(
-        graph, config, initial_communities, tracer, refine=refine, engine=config.engine
-    )
-
-
-def _run(
-    graph: CSRGraph,
-    config: GPULouvainConfig,
-    initial_communities: np.ndarray | None,
-    tracer: Tracer | NullTracer | None,
-    *,
-    refine=None,
-    optimize=None,
-    **run_attributes,
-) -> GPULouvainResult:
-    """The level loop inside its ``run`` span (``run_attributes`` label it).
-
-    Shared by :func:`gpu_louvain` and
-    :func:`~repro.shard.engine.sharded_louvain`.  ``optimize`` replaces
-    :func:`~repro.core.mod_opt.modularity_optimization` as each level's
-    optimization phase, with the same signature and outcome.
-    """
     if initial_communities is not None:
         initial_communities = np.asarray(initial_communities, dtype=np.int64)
         if initial_communities.shape != (graph.num_vertices,):
@@ -129,15 +107,15 @@ def _run(
 
     tracer = as_tracer(tracer)
     if not tracer.enabled:
-        return _levels(graph, config, initial_communities, tracer, refine, optimize)
+        return _run(graph, config, initial_communities, tracer, refine)
     with tracer.span(
         "run",
-        **run_attributes,
+        engine=config.engine,
         num_vertices=graph.num_vertices,
         num_edges=graph.num_edges,
         warm_start=initial_communities is not None,
     ) as span:
-        result = _levels(graph, config, initial_communities, tracer, refine, optimize)
+        result = _run(graph, config, initial_communities, tracer, refine)
         span.count(
             modularity=result.modularity,
             num_levels=result.num_levels,
@@ -147,15 +125,14 @@ def _run(
     return result
 
 
-def _levels(
+def _run(
     graph: CSRGraph,
     config: GPULouvainConfig,
     initial_communities: np.ndarray | None,
     tracer: Tracer | NullTracer,
     refine=None,
-    optimize=None,
 ) -> GPULouvainResult:
-    """:func:`_run` body (labels validated, tracer normalised).
+    """:func:`gpu_louvain` body (config validated, tracer normalised).
 
     With a ``refine`` hook each level contracts by the refined
     partition, and the level's Q describes that refined membership —
@@ -191,7 +168,7 @@ def _levels(
             threshold=threshold,
         ) as level_span:
             with Stopwatch(stage, "optimization_seconds"):
-                outcome = (optimize or modularity_optimization)(
+                outcome = modularity_optimization(
                     current,
                     config,
                     threshold,

@@ -13,8 +13,6 @@ Both entry points run one sweep loop (:func:`_sweep_loop`): static levels
 (:func:`modularity_optimization`) score every bucket's full member list
 each sweep, and a stream batch's level 0
 (:func:`frontier_modularity_optimization`) scores only an active set.
-The sharded engine (:mod:`repro.shard`) runs the same loop with its
-worker pool as the scoring source.
 
 Per-sweep cost discipline (the paper's "work proportional to the edges
 actually touched"): the vectorized engine builds a
@@ -365,7 +363,6 @@ def _sweep_loop(
     exact: bool = False,
     expansion: str = "community",
     cost_model: CostModel | None = None,
-    scorer=None,
     tracer: Tracer | NullTracer,
 ) -> OptimizationOutcome:
     """The sweep loop of Alg. 1 behind both entry points.
@@ -384,16 +381,6 @@ def _sweep_loop(
     The simulated engine and the relaxed ablation take the
     non-incremental branch: no plan validity tracking, and an exact Q
     every sweep.
-
-    ``scorer`` is the third scoring source next to the simulated and
-    vectorized kernels: the sharded engine's worker pool
-    (``repro.shard.engine._SyncPool``), used on static levels under the
-    per-bucket commit discipline.  ``bind(comm, volumes, sizes)`` moves
-    the working state to where its workers read it and returns the
-    arrays this loop then updates in place; ``score(index, members)``
-    returns the bucket's new labels; ``mark_moved(movers, old, new)``
-    hears of every commit.  The loop builds no plan of its own then —
-    the scorer's workers hold theirs.
     """
     n = graph.num_vertices
     k = graph.weighted_degrees
@@ -427,10 +414,8 @@ def _sweep_loop(
 
     volumes = np.bincount(comm, weights=k, minlength=n)
     sizes = np.bincount(comm, minlength=n)
-    if scorer is not None:
-        comm, volumes, sizes = scorer.bind(comm, volumes, sizes)
 
-    if simulate or scorer is not None:
+    if simulate:
         plan = None
     elif active is None or exact:
         # Full-list sweeps (every static sweep; sweep 1 of exact
@@ -443,8 +428,7 @@ def _sweep_loop(
         plan = SweepPlan.build(graph, empty)
     # Incremental Q tracking needs the per-bucket commit discipline (the
     # relaxed ablation recomputes volumes wholesale at sweep end anyway).
-    incremental = not simulate and not config.relaxed_updates
-    scratch = plan.mover_scratch if plan is not None else np.zeros(n, dtype=bool)
+    incremental = plan is not None and not config.relaxed_updates
     if plan is not None:
         # Pair caches stay valid only while every commit is reported via
         # mark_moved — i.e. under the per-bucket commit discipline.
@@ -492,8 +476,6 @@ def _sweep_loop(
                     graph, comm, volumes, sizes, bucket, cost_model, **scoring
                 )
                 profile.add(stats)
-            elif scorer is not None:
-                new_comm = scorer.score(index, members)
             else:
                 if active is not None:
                     # Scoring consumes the activation; commits below
@@ -518,8 +500,6 @@ def _sweep_loop(
             old = comm[movers]
             new = new_comm[changed]
             _commit_moves(plan, comm, movers, old, new, volumes, sizes, k)
-            if scorer is not None:
-                scorer.mark_moved(movers, old, new)
             if active is None:
                 continue
             # Delta-screening expansion: every vertex whose own or
@@ -569,7 +549,7 @@ def _sweep_loop(
                     internal = float(w[comm[src] == comm[dst]].sum())
                 else:
                     internal += _sweep_internal_delta(
-                        graph, comm_before, comm, movers_sweep, scratch
+                        graph, comm_before, comm, movers_sweep, plan.mover_scratch
                     )
             # The sum(a_c^2) term is O(n) to evaluate exactly — only the
             # edge-scan term is worth tracking incrementally.

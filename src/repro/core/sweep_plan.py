@@ -57,6 +57,7 @@ quantities the per-sweep observability in
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +185,7 @@ class BucketPlan:
     dst_comm_snap: np.ndarray | None = None
     can_increment: bool = False
     unit_weights: bool = False
-    owner: "SweepPlan | None" = field(default=None, repr=False)
+    owner_ref: "weakref.ReferenceType[SweepPlan] | None" = field(default=None, repr=False)
     pairs_valid: bool = False
     pk: np.ndarray | None = None
     pv: np.ndarray | None = None
@@ -200,6 +201,16 @@ class BucketPlan:
     score_moved: int = 0
     rescore_local: np.ndarray | None = None
     sort_hint: np.ndarray | None = None
+
+    @property
+    def owner(self) -> "SweepPlan | None":
+        """The :class:`SweepPlan` this bucket belongs to, if still alive.
+
+        Held weakly: a strong back-reference would make every plan a
+        reference cycle, kept alive after its phase until the next cyclic
+        garbage collection.
+        """
+        return self.owner_ref() if self.owner_ref is not None else None
 
     def store_pairs(
         self,
@@ -228,8 +239,9 @@ class BucketPlan:
         self.pairs_valid = True
         self.score_stamp = -1
         self.rescore_local = None
-        if self.owner is not None:
-            self.built_moved = self.owner.total_moved
+        owner = self.owner
+        if owner is not None:
+            self.built_moved = owner.total_moved
 
     def _set_pairs_from_table(self, pk: np.ndarray, pe: np.ndarray) -> None:
         """Re-derive the per-vertex grouping from a patched pair table.
@@ -260,31 +272,32 @@ class BucketPlan:
         fall through to the rebuild path, which is cheaper past ~E/4
         affected edges.
         """
+        owner = self.owner
         if (
             self.pairs_valid
             or self.built_stamp < 0
             or self.pv is None
-            or self.owner is None
+            or owner is None
             # Without validity tracking the move stamps never advance, so
             # a "no stamped movers" check would wrongly bless stale pairs.
-            or not self.owner.track_validity
+            or not owner.track_validity
         ):
             return
         if (
-            self.owner.total_moved - self.built_moved
+            owner.total_moved - self.built_moved
         ) * _SCAN_FUTILITY_FACTOR > self.dst.size:
             # Enough vertices moved since the build that a pure reuse or
             # a small patch is hopeless — skip the O(unique-dst) stamp
             # scan and go straight to the rebuild (purely a performance
             # gate: the rebuild is always exact).
             return
-        stamp = self.owner.move_stamp
+        stamp = owner.move_stamp
         rows = np.flatnonzero(stamp[self.dst_unique] > self.built_stamp)
         if rows.size == 0:
             # No destination of this bucket moved since the build: the
             # cached pairs are exact as-is.
             self.pairs_valid = True
-            self.owner.pair_reuse_hits += 1
+            owner.pair_reuse_hits += 1
             return
         if not self.can_increment or self.pk is None:
             return
@@ -381,7 +394,7 @@ class BucketPlan:
         self.pairs_valid = True
         self.score_stamp = score_stamp
         self.rescore_local = touched
-        self.owner.pair_patch_hits += 1
+        owner.pair_patch_hits += 1
 
 
 @dataclass
@@ -512,7 +525,7 @@ class SweepPlan:
             _serves=[0] * len(plans),
         )
         for bucket_plan in plans:
-            bucket_plan.owner = plan
+            bucket_plan.owner_ref = weakref.ref(plan)
         return plan
 
     def replace_bucket(
@@ -539,7 +552,7 @@ class SweepPlan:
         fresh = self._bucket_plan(
             graph, bucket, self.num_vertices, k, self.integral_weights
         )
-        fresh.owner = self
+        fresh.owner_ref = weakref.ref(self)
         fresh.comm32 = self.shared_comm32
         self.bucket_plans[index] = fresh
         # A rebuilt bucket's first serve is a fresh gather, not a reuse.

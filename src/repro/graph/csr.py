@@ -93,20 +93,25 @@ class CSRGraph:
 
     @property
     def num_edges(self) -> int:
-        """Number of undirected edges, counting each self-loop once."""
-        loops = int(np.count_nonzero(self.indices == self.vertex_of_edge))
-        return (self.num_stored_edges - loops) // 2 + loops
+        """Number of undirected edges, counting each self-loop once (cached)."""
+        cached = self.__dict__.get("_num_edges")
+        if cached is None:
+            loops = int(np.count_nonzero(self.indices == self.vertex_of_edge))
+            cached = (self.num_stored_edges - loops) // 2 + loops
+            object.__setattr__(self, "_num_edges", cached)
+        return cached
 
     @property
     def degrees(self) -> np.ndarray:
         """Structural degree of each vertex (row length; self-loop counts 1)."""
         return self._degrees
 
-    # The three O(V+E) derived quantities below are cached on first use:
-    # instances are immutable (algorithms build new graphs, never mutate),
-    # and the hot paths — compute_moves reads ``m`` per bucket, the sweep
-    # plans read ``weighted_degrees`` per level — would otherwise pay a
-    # full-edge reduction on every call.
+    # The O(V+E) derived quantities (``num_edges`` above and the three
+    # below) are cached on first use: instances are immutable (algorithms
+    # build new graphs, never mutate), and the hot paths — compute_moves
+    # reads ``m`` per bucket, the sweep plans read ``weighted_degrees``
+    # per level, a stream batch reads ``num_edges`` several times — would
+    # otherwise pay a full-edge reduction on every call.
 
     @property
     def vertex_of_edge(self) -> np.ndarray:

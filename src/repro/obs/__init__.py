@@ -15,7 +15,7 @@ PR 3 made every engine *emit* span trees; this package *consumes* them:
   ``python -m repro bench-gate``;
 * :mod:`repro.obs.metrics` — the *runtime* half: a dependency-free
   Prometheus-style registry (counters / gauges / histograms) the serve,
-  stream, shard and gpu layers record into, exposed as
+  stream and gpu layers record into, exposed as
   ``GET /v1/metrics``;
 * :mod:`repro.obs.logs` — structured JSON logging (``repro.log/1``)
   with per-request/per-batch correlation ids tying log lines to trace

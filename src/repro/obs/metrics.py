@@ -2,7 +2,7 @@
 
 The offline half of observability lives in :mod:`repro.trace` (span
 trees, ``repro.trace/1`` reports).  This module is the *runtime* half: a
-small Prometheus-style registry that the serve/stream/shard/gpu layers
+small Prometheus-style registry that the serve/stream/gpu layers
 record into while they run, rendered on demand as Prometheus text
 exposition (``GET /v1/metrics`` on :class:`~repro.serve.ReproServer`).
 
@@ -10,8 +10,7 @@ Design constraints mirror :mod:`repro.trace`:
 
 * stdlib only — no prometheus_client, no third-party deps;
 * thread-safe — one :class:`threading.RLock` per registry guards every
-  mutation (the asyncio server offloads applies to executor threads, and
-  shard phases record from the parent after joining workers);
+  mutation (the asyncio server offloads applies to executor threads);
 * a no-op :data:`NULL_REGISTRY` mirrors ``NULL_TRACER`` so the disabled
   path costs a handful of attribute lookups and nothing else;
 * instruments are registered idempotently — asking for an existing
@@ -567,7 +566,7 @@ _default_lock = threading.Lock()
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (used by shard/gpu layers)."""
+    """The process-wide default registry (used by the gpu layer)."""
     return _default_registry
 
 

@@ -228,12 +228,11 @@ class TrajectoryStore:
     Concurrency: the temp-file + rename makes readers immune to torn
     writes, but the read→extend→replace cycle itself is not atomic — two
     concurrent appenders could both read N entries and both write N+1,
-    silently losing one append (exactly what happens when sharded bench
-    workers and the coordinator report together).  :meth:`append`
-    therefore takes an exclusive ``fcntl`` lock on a sidecar
-    ``<file>.lock`` for the whole cycle, serialising writers while
-    keeping lock state out of the data file (a rename would drop locks
-    held on the file itself).
+    silently losing one append (e.g. two benchmark processes reporting
+    at once).  :meth:`append` therefore takes an exclusive ``fcntl``
+    lock on a sidecar ``<file>.lock`` for the whole cycle, serialising
+    writers while keeping lock state out of the data file (a rename
+    would drop locks held on the file itself).
     """
 
     def __init__(self, path: str | Path) -> None:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 from time import perf_counter, time
 from typing import Any
 from urllib.parse import parse_qs, urlsplit
@@ -828,8 +827,8 @@ class ReproServer:
         def run_apply():
             # run_in_executor does NOT copy contextvars into the worker
             # thread — re-bind the request identity explicitly so the
-            # batch span tree, flight entries and any shard worker tasks
-            # all carry this request's trace id.
+            # batch span tree and flight entries carry this request's
+            # trace id.
             trace_token = bind_trace_context(
                 trace_ctx.child("request") if trace_ctx is not None else None
             )
@@ -947,7 +946,7 @@ class ReproServer:
             }
 
     async def _top(self, name: str, query: dict[str, str]) -> dict[str, Any]:
-        k = int(query.get("k", "10") or "10")
+        k = self._int_param(query, "k") if "k" in query else 10
         by = query.get("by", "size")
         async with self._lock(name):
             session = self._session(name)

@@ -95,13 +95,7 @@ class StreamConfig:
         ``"louvain"`` (default — bit-identical to the pre-engine
         sessions), ``"leiden"`` (well-connectedness refinement on every
         contraction, full and incremental), ``"lpa"`` (frontier-
-        seeded weighted label propagation), or ``"sharded"``
-        (multi-process Louvain for the full-pipeline paths).
-    shard:
-        Engine options for ``algo="sharded"`` — a dict with any of
-        ``workers`` / ``pool`` / ``partition``, passed to
-        :class:`~repro.core.engine.ShardedEngine`.  Only valid with the
-        sharded algo.
+        seeded weighted label propagation).
     """
 
     louvain: GPULouvainConfig = field(default_factory=GPULouvainConfig)
@@ -110,23 +104,12 @@ class StreamConfig:
     full_rerun_interval: int = 0
     frontier_fraction_limit: float = 0.5
     algo: str = "louvain"
-    shard: dict | None = None
 
     def __post_init__(self) -> None:
         if self.algo not in ALGO_NAMES:
             raise ValueError(
                 f"unknown algo: {self.algo!r} (expected one of {list(ALGO_NAMES)})"
             )
-        if self.shard is not None:
-            if self.algo != "sharded":
-                raise ValueError("shard options require algo='sharded'")
-            allowed = {"workers", "pool", "partition"}
-            unknown = set(self.shard) - allowed
-            if unknown:
-                raise ValueError(
-                    f"unknown shard options: {sorted(unknown)} "
-                    f"(expected a subset of {sorted(allowed)})"
-                )
         if self.screening not in ("local", "exact"):
             raise ValueError(f"unknown screening mode: {self.screening!r}")
         if self.frontier_scope not in ("community", "endpoints"):
@@ -170,8 +153,6 @@ class StreamConfig:
             # The default is omitted so pre-engine fingerprints (and the
             # committed trajectory baselines keyed on them) stay stable.
             meta["algo"] = self.algo
-        if self.shard is not None:
-            meta["shard"] = dict(self.shard)
         for spec in dataclasses.fields(GPULouvainConfig):
             if spec.name in self._STRUCTURED_LOUVAIN_FIELDS:
                 continue
@@ -191,17 +172,19 @@ class StreamConfig:
         # Written by every config before the field was retired; both of
         # its values ran the same sweeps, so it carries no information.
         data.pop("use_sweep_plan", None)
-        if isinstance(data.get("shard"), dict) and "mode" in data["shard"]:
-            # Sharded sessions stored before color mode was retired carry
-            # the protocol name; "sync" is the one protocol left.
-            shard = dict(data["shard"])
-            mode = shard.pop("mode")
-            if mode != "sync":
-                raise ValueError(
-                    f"shard mode {mode!r} was retired; the sharded engine runs "
-                    "only the former 'sync' protocol"
-                )
-            data["shard"] = shard
+        # Sessions stored while the multi-process sharded engine existed.
+        # Its one remaining protocol ("sync") returned results bit-identical
+        # to single-process Louvain, so they continue as "louvain"; the
+        # older "color" protocol found different partitions and cannot.
+        shard = dict(data.pop("shard", None) or {})
+        mode = shard.get("mode", "sync")
+        if mode != "sync":
+            raise ValueError(
+                f"shard mode {mode!r} was retired; stored sharded sessions "
+                "continue only from the former 'sync' protocol"
+            )
+        if data.get("algo") == "sharded":
+            data["algo"] = "louvain"
         stream_kwargs = {
             spec.name: data.pop(spec.name)
             for spec in dataclasses.fields(cls)
@@ -323,7 +306,7 @@ class StreamSession:
         self.tracer = as_tracer(tracer)
         self.reports: list[RunReport] = []
         self.initial_report: RunReport | None = None
-        self._engine = get_engine(config.algo, **(config.shard or {}))
+        self._engine = get_engine(config.algo)
         result = self._engine.detect(
             graph,
             config.louvain,
@@ -374,7 +357,7 @@ class StreamSession:
         session.config = config
         session.graph = graph
         session._metrics = None
-        session._engine = get_engine(config.algo, **(config.shard or {}))
+        session._engine = get_engine(config.algo)
         session.batches = int(batches)
         session.tracer = as_tracer(tracer)
         session.reports = list(reports) if reports else []

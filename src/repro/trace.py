@@ -100,15 +100,6 @@ class TraceContext:
         path = f"{self.span_path}/{name}" if self.span_path else name
         return TraceContext(self.trace_id, path)
 
-    def to_dict(self) -> dict[str, str]:
-        return {"trace_id": self.trace_id, "span_path": self.span_path}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any] | None) -> "TraceContext | None":
-        if not data or not data.get("trace_id"):
-            return None
-        return cls(str(data["trace_id"]), str(data.get("span_path", "")))
-
 
 _trace_var: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
     "repro_trace_context", default=None
@@ -357,8 +348,8 @@ class Tracer:
         if self.flight is not None:
             # Attached spans are already closed, so they are flight-
             # recorded here (a with-span records at __exit__); their
-            # path extends the currently-open stack — this is how
-            # the sharded engine's per-shard spans reach the ring.
+            # path extends the currently-open stack — this is how the
+            # sweep spans, built once their phase ends, reach the ring.
             prefix = "/".join(s.name for s in self._stack)
             self.flight.record_span(
                 span.name,

@@ -10,7 +10,6 @@ from repro.core.engine import (
     LabelPropagationEngine,
     LeidenEngine,
     LouvainEngine,
-    ShardedEngine,
     SolverEngine,
     get_engine,
 )
@@ -25,13 +24,10 @@ from repro.metrics.modularity import modularity
 # Registry
 # --------------------------------------------------------------------- #
 def test_registry_resolves_every_algo():
-    assert ALGO_NAMES == ("louvain", "leiden", "lpa", "sharded")
+    assert ALGO_NAMES == ("louvain", "leiden", "lpa")
     assert isinstance(get_engine("louvain"), LouvainEngine)
     assert isinstance(get_engine("leiden"), LeidenEngine)
     assert isinstance(get_engine("lpa"), LabelPropagationEngine)
-    sharded = get_engine("sharded", workers=3, pool="inline")
-    assert isinstance(sharded, ShardedEngine)
-    assert (sharded.workers, sharded.pool) == (3, "inline")
     for name in ("seq", "plm", "lu", "coarse", "sort", "multigpu"):
         engine = get_engine(name)
         assert isinstance(engine, SolverEngine)
@@ -43,6 +39,8 @@ def test_registry_resolves_every_algo():
 def test_registry_rejects_unknown_names_and_bad_options():
     with pytest.raises(ValueError, match="unknown engine: 'walktrap'"):
         get_engine("walktrap")
+    with pytest.raises(ValueError, match="unknown engine: 'sharded'"):
+        get_engine("sharded")  # retired; stored configs map it in from_dict
     with pytest.raises(TypeError):
         get_engine("louvain", devices=2)
 

@@ -8,10 +8,14 @@ and without its plan; and the incremental modularity tracking must agree
 with the exact recompute.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.core import mod_opt
 from repro.core.buckets import degree_buckets
 from repro.core.config import GPULouvainConfig
 from repro.core.gpu_louvain import gpu_louvain
@@ -223,3 +227,36 @@ def test_rejects_mismatched_vertex_set():
         compute_moves_vectorized(
             graph, comm, volumes, sizes, wrong, k=k, plan=bp
         )
+
+
+@pytest.mark.parametrize("frontier", [False, True])
+def test_plan_is_freed_when_the_phase_returns(monkeypatch, frontier):
+    """No reference cycle keeps a phase's plan alive until the cyclic GC.
+
+    The frontier path also swaps bucket plans in (``replace_bucket``).
+    """
+    plans = []
+    build = mod_opt.SweepPlan.build
+
+    def tracked_build(graph, buckets):
+        plan = build(graph, buckets)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(mod_opt.SweepPlan, "build", staticmethod(tracked_build))
+    graph = karate_club()
+    config = GPULouvainConfig()
+    gc.disable()
+    try:
+        if frontier:
+            mod_opt.frontier_modularity_optimization(
+                graph, config, 1e-6,
+                initial_communities=np.arange(graph.num_vertices),
+                frontier=np.array([0, 33]),
+            )
+        else:
+            mod_opt.modularity_optimization(graph, config, 1e-6)
+        assert len(plans) == 1
+        assert plans[0]() is None, "the plan outlived its phase"
+    finally:
+        gc.enable()

@@ -35,6 +35,7 @@ def test_single_vertex_no_edges():
 def test_triangle_counts(triangle):
     assert triangle.num_vertices == 3
     assert triangle.num_edges == 3
+    assert triangle.__dict__["_num_edges"] == 3  # cached
     assert triangle.num_stored_edges == 6
     assert triangle.total_weight == 6.0
     assert triangle.m == 3.0
@@ -59,6 +60,9 @@ def test_neighbor_weights():
 def test_self_loop_stored_once():
     g = from_edges([0, 0], [0, 1], [3.0, 1.0])
     assert g.num_stored_edges == 3  # loop once + edge twice
+    assert "_num_edges" not in g.__dict__
+    assert g.num_edges == 2
+    assert g.__dict__["_num_edges"] == 2  # cached, self-loop counted once
     assert g.self_loop_weight(0) == 3.0
     assert g.self_loop_weight(1) == 0.0
 
@@ -178,6 +182,8 @@ def test_total_weight_is_sum_of_degrees(g):
 def test_num_edges_consistent_with_edge_list(g):
     u, v, _ = g.edge_list(unique=True)
     assert g.num_edges == u.size
+    # Cached on first read, so later reads skip the O(E) self-loop scan.
+    assert g.__dict__["_num_edges"] == u.size
 
 
 @given(csr_graphs(weighted=True))

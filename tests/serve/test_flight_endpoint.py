@@ -2,9 +2,8 @@
 
 Covers the tentpole acceptance paths: ``GET /v1/debug/flight``,
 ``X-Repro-Cid`` / ``X-Repro-Trace`` response headers (success and error
-envelopes), exemplars resolvable back to a trace id, and — with the
-sharded engine behind a session — one stitched span tree per request
-whose shard worker spans carry the request's trace id.
+envelopes), exemplars resolvable back to a trace id, and one stitched
+span tree per request whose spans all carry the request's trace id.
 """
 
 from __future__ import annotations
@@ -156,25 +155,21 @@ def test_batch_exemplar_resolves_to_request_trace(client):
     assert resolved["entries"]
 
 
-def test_sharded_serve_request_yields_one_stitched_tree(server, client):
-    # A graph big enough to clear shard_min_vertices (192), with a
-    # frontier limit so tiny every batch takes the full-pipeline path —
-    # which is what fans out across shard workers.
+def test_serve_request_yields_one_stitched_tree(server, client):
+    # A frontier limit so tiny that every batch takes the full-pipeline
+    # path, whose span tree runs request → batch → run → level →
+    # optimization → sweep.
     client.create_session(
-        "sh1",
+        "st1",
         generate={"family": "social", "n": 300, "m": 6, "seed": 3},
-        config={
-            "algo": "sharded",
-            "shard": {"pool": "inline", "workers": 2},
-            "frontier_fraction_limit": 0.001,
-        },
+        config={"frontier_fraction_limit": 0.001},
     )
-    result = client.batch("sh1", add=([1, 2, 3], [50, 60, 70]))
+    result = client.batch("st1", add=([1, 2, 3], [50, 60, 70]))
     assert result["mode"] == "full"
     trace_id = client.last_trace_id
 
-    # Live tracer view: request → batch → run → ... → shard, one tree.
-    session = server.manager.get("sh1")
+    # Live tracer view: one tree under the request.
+    session = server.manager.get("st1")
     requests = [s for s in session.tracer.roots if s.name == "request"]
     assert len(requests) == 1
     root = requests[0]
@@ -183,19 +178,21 @@ def test_sharded_serve_request_yields_one_stitched_tree(server, client):
     (batch,) = root.children
     assert batch.name == "batch"
     assert batch.attributes["trace_id"] == trace_id
-    shards = root.find("shard")
-    assert len(shards) >= 2, "expected spans from at least two shards"
-    assert all(s.attributes["trace_id"] == trace_id for s in shards)
+    (run,) = batch.find("run")
+    assert run.find("level") and run.find("optimization")
 
-    # Flight view: the ring's span entries stitch to the same story.
+    # Flight view: every span of the request carries its trace id, so
+    # the ring's entries for that id stitch to the same story.
     flight = client.debug_flight(trace_id=trace_id, kinds="span")
+    paths = {entry["path"] for entry in flight["entries"]}
+    assert "request/batch/run/level/optimization" in paths
     trees = stitch_spans(flight["entries"])
     assert set(trees) == {trace_id}
     stitched = trees[trace_id]
     assert stitched.find("request") and stitched.find("batch")
-    # Attached shard spans reach the ring too — the crash-proof copy
+    # Attached sweep spans reach the ring too — the crash-proof copy
     # of the tree is as complete as the live one.
-    assert stitched.find("shard")
+    assert stitched.find("sweep")
 
 
 def test_batch_enqueued_log_precedes_apply(server, client):

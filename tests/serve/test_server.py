@@ -175,6 +175,20 @@ def test_malformed_json_body_is_bad_request_envelope(server):
         assert payload["error"]["message"]
 
 
+@pytest.mark.parametrize("k", ["abc", "1.5"])
+def test_top_with_non_integer_k_is_bad_request(server, client, k):
+    graph, _ = caveman(3, 5)
+    client.create_session("t", edges=_edges_payload(graph))
+    status, payload = _raw_request(server, "GET", f"/v1/sessions/t/top?k={k}", None)
+    assert status == 400
+    assert payload["error"]["code"] == "bad_request"
+    assert "'k'" in payload["error"]["message"]
+    # Without k the default of 10 still applies (3 communities here).
+    status, payload = _raw_request(server, "GET", "/v1/sessions/t/top", None)
+    assert status == 200
+    assert len(payload["communities"]) == 3
+
+
 def test_unknown_algo_on_create_is_bad_request_envelope(server, client):
     with pytest.raises(ServeError) as excinfo:
         client.create_session(
@@ -198,13 +212,20 @@ def test_unknown_algo_on_create_is_bad_request_envelope(server, client):
 
 
 def test_session_config_with_retired_shard_mode(client):
-    """Stored session configs may still name the shard protocol."""
+    """Stored session configs may still name the retired sharded engine.
+
+    Its results were bit-identical to louvain's, so they create a
+    louvain session, with or without the color-mode era's ``shard.mode``.
+    """
     shard = {"pool": "inline", "workers": 2}
-    client.create_session(
-        "old", generate={"family": "karate"},
-        config={"algo": "sharded", "shard": {**shard, "mode": "sync"}},
-    )
-    assert client.batch("old", add=([0], [9]))["batch"] == 1
+    louvain = StreamConfig().fingerprint()
+    for name, stored in (("old", shard), ("sync", {**shard, "mode": "sync"})):
+        info = client.create_session(
+            name, generate={"family": "karate"},
+            config={"algo": "sharded", "shard": stored},
+        )
+        assert info["fingerprint"] == louvain  # the default algo="louvain"
+        assert client.batch(name, add=([0], [9]))["batch"] == 1
     with pytest.raises(ServeError) as excinfo:
         client.create_session(
             "color", generate={"family": "karate"},

@@ -4,7 +4,6 @@ uninterrupted one — bit-identical graph, membership and future applies."""
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,37 +110,43 @@ def test_sidecar_with_retired_use_sweep_plan_restores(tmp_path, value):
     _assert_sessions_equal(original, restored)
 
 
-def test_sidecar_with_retired_shard_mode_restores(tmp_path):
-    """Sharded sidecars written while color mode existed carry ``shard.mode``.
+def _sweep_records(result):
+    return [stats for stage in result.timings.stages for stats in stage.sweep_stats]
 
-    ``"sync"`` was the protocol every such session ran, and it is the one
-    left, so the key is dropped and the next apply is unchanged: a full
-    sharded rerun, bit-identical to the single-process engine's.
+
+def test_sidecar_with_retired_shard_mode_restores(tmp_path):
+    """Sidecars written for the retired sharded engine restore as louvain.
+
+    Its results were bit-identical to single-process Louvain, so a
+    session stored with ``algo: "sharded"`` (with or without the
+    ``shard.mode`` key of the color-mode era) continues exactly as the
+    uninterrupted louvain session does.  The retired color protocol
+    found different partitions and still refuses to restore.
     """
     graph = social_network(300, 6, rng=4)
-    shard = {"pool": "inline", "workers": 2}
-    config = StreamConfig(algo="sharded", shard=shard, frontier_fraction_limit=0.001)
-    original = StreamSession(graph, config)
-    original.apply(add=(np.array([0, 8]), np.array([160, 240]), None))
-    snapshot_session(original, tmp_path / "old")
-    sidecar = tmp_path / "old.json"
-    payload = json.loads(sidecar.read_text())
-    payload["config"]["shard"] = {**shard, "mode": "sync"}
-    sidecar.write_text(json.dumps(payload))
-
-    restored = restore_session(tmp_path / "old")
-    _assert_sessions_equal(original, restored)
-    single = StreamSession(graph, replace(config, algo="louvain", shard=None))
-    single.apply(add=(np.array([0, 8]), np.array([160, 240]), None))
     batch = (np.array([1, 9, 30]), np.array([170, 33, 299]), None)
-    results = [s.apply(add=batch) for s in (original, restored, single)]
-    assert {r.mode for r in results} == {"full"}
-    for result in results[1:]:
-        np.testing.assert_array_equal(result.membership, results[0].membership)
-        assert result.modularity == results[0].modularity
-    _assert_sessions_equal(original, restored)
+    shard = {"pool": "inline", "workers": 2}
+    sidecar = tmp_path / "old.json"
+    for stored in (shard, {**shard, "mode": "sync"}):
+        original = StreamSession(graph, StreamConfig())
+        original.apply(add=(np.array([0, 8]), np.array([160, 240]), None))
+        snapshot_session(original, tmp_path / "old")
+        payload = json.loads(sidecar.read_text())
+        payload["config"].update(algo="sharded", shard=stored)
+        sidecar.write_text(json.dumps(payload))
 
-    payload["config"]["shard"]["mode"] = "color"
+        restored = restore_session(tmp_path / "old")
+        assert restored.config.algo == "louvain"
+        _assert_sessions_equal(original, restored)
+        expected = original.apply(add=batch)
+        result = restored.apply(add=batch)
+        np.testing.assert_array_equal(result.membership, expected.membership)
+        assert result.modularity == expected.modularity
+        assert _sweep_records(expected)
+        assert _sweep_records(result) == _sweep_records(expected)
+        _assert_sessions_equal(original, restored)
+
+    payload["config"]["shard"] = {**shard, "mode": "color"}
     sidecar.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="'color' was retired"):
         restore_session(tmp_path / "old")

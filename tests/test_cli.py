@@ -46,27 +46,6 @@ def test_detect_other_solvers(karate_file, capsys, solver):
     assert "modularity:" in out
 
 
-def test_detect_sharded_engine(karate_file, capsys, tmp_path):
-    """--engine sharded matches the vectorized engine bit-for-bit."""
-    out_vec = tmp_path / "vec.txt"
-    out_shard = tmp_path / "shard.txt"
-    assert main(["detect", karate_file, "-o", str(out_vec)]) == 0
-    assert (
-        main(
-            [
-                "detect", karate_file,
-                "--engine", "sharded",
-                "--workers", "2",
-                "--shard-pool", "inline",
-                "-o", str(out_shard),
-            ]
-        )
-        == 0
-    )
-    assert out_shard.read_text() == out_vec.read_text()
-    assert "modularity:" in capsys.readouterr().out
-
-
 def test_detect_multigpu(karate_file, capsys):
     assert main(["detect", karate_file, "--solver", "multigpu", "--devices", "2"]) == 0
     assert "communities:" in capsys.readouterr().out
@@ -242,13 +221,6 @@ def test_detect_algo_louvain_output_unchanged(karate_file, capsys):
     assert "algo:" not in default
     keep = lambda text: [l for l in text.splitlines() if "seconds" not in l]  # noqa: E731
     assert keep(default) == keep(explicit)
-
-
-def test_detect_algo_rejects_sharded_engine(karate_file, capsys):
-    assert main(
-        ["detect", karate_file, "--engine", "sharded", "--algo", "lpa"]
-    ) == 2
-    assert "supports --algo louvain only" in capsys.readouterr().err
 
 
 def test_stream_algo_flag(karate_file, capsys):
