@@ -7,6 +7,9 @@ The same mechanism exists in this reproduction (NumPy amortises dispatch
 overhead over array length), so the speedup of the data-parallel engine
 over the interpreted baseline must *grow with scale* — evidence that the
 measured Table-1 factors are substrate-limited, not algorithm-limited.
+
+Both solvers' runs are traced (their per-level reports are emitted), so
+their seconds include the tracing.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import pytest
 from repro.bench.reporting import banner, format_table
 from repro.bench.runner import run_gpu, run_sequential
 from repro.bench.suite import suite_entry
-from repro.trace import report_from_result
+from repro.trace import Tracer, report_from_result
 
 from _util import emit, emit_report
 
@@ -33,8 +36,9 @@ def scaling_rows():
         entry = suite_entry(name)
         for scale in SCALES:
             graph = entry.load(scale)
-            seq = run_sequential(graph)
-            gpu = run_gpu(graph)
+            seq_tracer, gpu_tracer = Tracer(), Tracer()
+            seq = run_sequential(graph, tracer=seq_tracer)
+            gpu = run_gpu(graph, tracer=gpu_tracer)
             rows.append(
                 (
                     name,
@@ -46,10 +50,14 @@ def scaling_rows():
                     seq.seconds / gpu.seconds,
                 )
             )
-            for run, engine in ((seq, "seq"), (gpu, "vectorized")):
+            for run, engine, tracer in (
+                (seq, "seq", seq_tracer),
+                (gpu, "vectorized", gpu_tracer),
+            ):
                 reports.append(
                     report_from_result(
                         run.result,
+                        tracer=tracer,
                         kind="run",
                         graph=name,
                         engine=engine,

@@ -21,7 +21,10 @@ Acceptance:
   (drift <= 1e-9) — speed never hides quality.
 
 Writes ``benchmarks/results/bench_stream.json`` (uploaded as a CI
-artifact) plus the usual text table.
+artifact) plus the usual text table.  Each session's spans are also
+journaled into ``benchmarks/results/flight`` (``_util.flight_journal``,
+trace id ``stream-<graph>-<algo>``), where CI's failure bundle reads
+them; the streamed seconds include that tracing.
 
 Set ``BENCH_STREAM_ALGO=leiden`` (or ``lpa``) to replay the same
 scenario through another :mod:`repro.core.engine` algorithm; the
@@ -51,7 +54,7 @@ from repro.metrics.quality import normalized_mutual_information
 from repro.stream import StreamConfig, StreamSession
 from repro.trace import Tracer
 
-from _util import RESULTS_DIR, emit, emit_report
+from _util import RESULTS_DIR, emit, emit_report, flight_journal
 
 #: The suite's two largest graphs by paper edge count.
 CASES = (
@@ -96,88 +99,88 @@ def _random_batch(graph, count: int, rng: np.random.Generator):
     return (au, av, None), (eu[pick], ev[pick])
 
 
-@pytest.fixture(scope="module")
-def measurements():
-    cases = []
-    for name, scale in CASES:
-        entry = next(e for e in SUITE if e.name == name)
-        graph = entry.load(scale)
-        rng = np.random.default_rng(7)
-        config = StreamConfig(
-            algo=ALGO, screening="local", frontier_scope="endpoints"
+def stream_case(name, graph, recorder, *, scale=1.0, batches=BATCHES):
+    """One graph's churn replay; its session's spans go to ``recorder``."""
+    rng = np.random.default_rng(7)
+    config = StreamConfig(algo=ALGO, screening="local", frontier_scope="endpoints")
+    tracer = Tracer(flight=recorder, trace_id=f"stream-{name}-{ALGO}")
+    session = StreamSession(graph, config, tracer=tracer)
+    engine = get_engine(ALGO)
+    prev_cold = session.result  # cold-equivalent baseline partition
+    per_batch = []
+    batch_edges = max(1, int(graph.num_edges * CHURN))
+    for _ in range(batches):
+        add, remove = _random_batch(session.graph, batch_edges, rng)
+        before = session.membership.copy()
+        result = session.apply(add=add, remove=remove)
+
+        cold_seconds = np.inf
+        cold = None
+        for _ in range(COLD_ROUNDS):
+            start = perf_counter()
+            cold = gpu_louvain(session.graph)
+            cold_seconds = min(cold_seconds, perf_counter() - start)
+
+        # The audit comparison: a warm full run of the session's own
+        # algorithm from the pre-batch membership (the same semantics
+        # full_rerun_interval gates on).
+        full = engine.detect(session.graph, config.louvain, initial_communities=before)
+        nmi_vs_full = normalized_mutual_information(result.membership, full.membership)
+
+        nmi = normalized_mutual_information(result.membership, cold.membership)
+        # How much do *cold* solutions drift across one batch of the same
+        # churn?  Below this, stream-vs-cold NMI is meaningless.
+        stability = normalized_mutual_information(
+            cold.membership, prev_cold.membership
         )
-        session = StreamSession(graph, config, tracer=Tracer())
-        engine = get_engine(ALGO)
-        prev_cold = session.result  # cold-equivalent baseline partition
-        per_batch = []
-        batch_edges = max(1, int(graph.num_edges * CHURN))
-        for _ in range(BATCHES):
-            add, remove = _random_batch(session.graph, batch_edges, rng)
-            before = session.membership.copy()
-            result = session.apply(add=add, remove=remove)
-
-            cold_seconds = np.inf
-            cold = None
-            for _ in range(COLD_ROUNDS):
-                start = perf_counter()
-                cold = gpu_louvain(session.graph)
-                cold_seconds = min(cold_seconds, perf_counter() - start)
-
-            # The audit comparison: a warm full run of the session's own
-            # algorithm from the pre-batch membership (the same
-            # semantics full_rerun_interval gates on).
-            full = engine.detect(
-                session.graph, config.louvain, initial_communities=before
-            )
-            nmi_vs_full = normalized_mutual_information(
-                result.membership, full.membership
-            )
-
-            nmi = normalized_mutual_information(
-                result.membership, cold.membership
-            )
-            # How much do *cold* solutions drift across one batch of the
-            # same churn?  Below this, stream-vs-cold NMI is meaningless.
-            stability = normalized_mutual_information(
-                cold.membership, prev_cold.membership
-            )
-            prev_cold = cold
-            q_check = modularity(session.graph, result.membership)
-            per_batch.append(
-                {
-                    "batch": result.batch,
-                    "mode": result.mode,
-                    "edges_added": result.edges_added,
-                    "edges_removed": result.edges_removed,
-                    "frontier_size": result.frontier_size,
-                    "frontier_fraction": result.frontier_fraction,
-                    "sweeps": sum(result.sweeps_per_level),
-                    "stream_seconds": result.seconds,
-                    "cold_seconds": cold_seconds,
-                    "speedup": cold_seconds / max(result.seconds, 1e-12),
-                    "q_stream": result.modularity,
-                    "q_cold": cold.modularity,
-                    "q_drift": abs(result.modularity - q_check),
-                    "nmi_vs_full": nmi_vs_full,
-                    "nmi_vs_cold": nmi,
-                    "cold_stability_nmi": stability,
-                }
-            )
-        cases.append(
+        prev_cold = cold
+        q_check = modularity(session.graph, result.membership)
+        per_batch.append(
             {
-                "graph": name,
-                "scale": scale,
-                "num_vertices": graph.num_vertices,
-                "num_edges": graph.num_edges,
-                "batch_edges": batch_edges,
-                "churn": CHURN,
-                "batches": per_batch,
-                # repro.trace RunReports (initial run + one per batch);
-                # popped before the JSON dump, emitted as <name>.trace.json.
-                "_trace": [session.initial_report, *session.reports],
+                "batch": result.batch,
+                "mode": result.mode,
+                "edges_added": result.edges_added,
+                "edges_removed": result.edges_removed,
+                "frontier_size": result.frontier_size,
+                "frontier_fraction": result.frontier_fraction,
+                "sweeps": sum(result.sweeps_per_level),
+                "stream_seconds": result.seconds,
+                "cold_seconds": cold_seconds,
+                "speedup": cold_seconds / max(result.seconds, 1e-12),
+                "q_stream": result.modularity,
+                "q_cold": cold.modularity,
+                "q_drift": abs(result.modularity - q_check),
+                "nmi_vs_full": nmi_vs_full,
+                "nmi_vs_cold": nmi,
+                "cold_stability_nmi": stability,
             }
         )
-    return cases
+    return {
+        "graph": name,
+        "scale": scale,
+        "num_vertices": graph.num_vertices,
+        "num_edges": graph.num_edges,
+        "batch_edges": batch_edges,
+        "churn": CHURN,
+        "batches": per_batch,
+        # repro.trace RunReports (initial run + one per batch); popped
+        # before the JSON dump, emitted as <name>.trace.json.
+        "_trace": [session.initial_report, *session.reports],
+    }
+
+
+@pytest.fixture(scope="module")
+def measurements():
+    with flight_journal() as recorder:
+        return [
+            stream_case(
+                name,
+                next(e for e in SUITE if e.name == name).load(scale),
+                recorder,
+                scale=scale,
+            )
+            for name, scale in CASES
+        ]
 
 
 def test_stream_quality(measurements):

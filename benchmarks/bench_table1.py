@@ -6,6 +6,10 @@ smaller and the contrast is NumPy-data-parallel vs interpreted-sequential
 (DESIGN.md §6); the *shape* to check is that every graph speeds up, that
 skew-degree and mesh graphs gain most, and that modularity stays within
 ~2% of sequential (the Table-1 claim pattern).
+
+Both solvers' runs are traced (:func:`repro.bench.runner.table1_rows`),
+so their seconds include the tracing; the emitted per-level reports are
+those runs' span trees.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ def test_table1_reproduction(benchmark, rows):
     reports = [
         report_from_result(
             result,
+            spans=spans,
             kind="run",
             graph=r.entry.name,
             engine=engine,
@@ -82,9 +87,9 @@ def test_table1_reproduction(benchmark, rows):
             seconds=round(seconds, 6),
         )
         for r in rows
-        for solver, engine, result, seconds in (
-            ("gpu", "vectorized", r.gpu_result, r.gpu_seconds),
-            ("seq", "seq", r.seq_result, r.seq_seconds),
+        for solver, engine, result, spans, seconds in (
+            ("gpu", "vectorized", r.gpu_result, r.gpu_spans, r.gpu_seconds),
+            ("seq", "seq", r.seq_result, r.seq_spans, r.seq_seconds),
         )
         if result is not None
     ]

@@ -13,9 +13,10 @@ Run:  python examples/road_network_hierarchy.py
 import numpy as np
 
 from repro import gpu_louvain
-from repro.bench.runner import stage_breakdown
 from repro.core.hierarchy import Dendrogram, best_level
 from repro.graph.generators import road_grid
+from repro.obs.analyze import level_metrics
+from repro.trace import RunReport, Tracer
 
 
 def main() -> None:
@@ -24,17 +25,20 @@ def main() -> None:
           f"{graph.num_edges} road segments "
           f"(avg degree {2 * graph.num_edges / graph.num_vertices:.2f})")
 
-    result = gpu_louvain(graph, bin_vertex_limit=1_000)
+    tracer = Tracer()
+    result = gpu_louvain(graph, bin_vertex_limit=1_000, tracer=tracer)
     print(f"\nfull clustering: Q = {result.modularity:.4f}, "
           f"{result.num_levels} levels")
 
-    # --- the Figure-5 stage profile ------------------------------------ #
+    # --- the Figure-5 stage profile (from the run's span tree) --------- #
     print("\nper-stage breakdown (optimization vs aggregation seconds):")
-    for row in stage_breakdown(result):
-        print(f"  stage {row.stage}: n={row.num_vertices:6d} "
+    rows = level_metrics(RunReport(spans=tracer.roots))
+    for row in rows:
+        print(f"  stage {row.level}: n={row.num_vertices:6d} "
               f"opt={row.optimization_seconds:.4f}s "
               f"agg={row.aggregation_seconds:.4f}s sweeps={row.sweeps}")
-    frac = result.timings.optimization_fraction()
+    opt = sum(row.optimization_seconds for row in rows)
+    frac = opt / max(sum(row.total_seconds for row in rows), 1e-12)
     print(f"  optimization fraction: {frac:.2f} (paper reports ~0.70)")
 
     # --- pick a granularity from the hierarchy ------------------------- #

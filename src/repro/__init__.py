@@ -11,7 +11,7 @@ Public API quickstart::
 Sub-packages:
 
 * :mod:`repro.graph`    — CSR graphs, generators, I/O
-* :mod:`repro.metrics`  — modularity, quality, TEPS, timings
+* :mod:`repro.metrics`  — modularity, quality, TEPS, per-sweep stats
 * :mod:`repro.seq`      — sequential Louvain baseline
 * :mod:`repro.gpu`      — simulated GPU substrate
 * :mod:`repro.core`     — the paper's bucketed edge-parallel algorithm

@@ -3,12 +3,10 @@
 from .reporting import banner, format_series, format_table, geometric_mean
 from .runner import (
     SolverRun,
-    StageRow,
     Table1Row,
     ThresholdCell,
     run_gpu,
     run_sequential,
-    stage_breakdown,
     table1_rows,
     threshold_grid,
     timed,
@@ -29,8 +27,6 @@ __all__ = [
     "table1_rows",
     "ThresholdCell",
     "threshold_grid",
-    "StageRow",
-    "stage_breakdown",
     "banner",
     "format_table",
     "format_series",

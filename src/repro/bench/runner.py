@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from ..core.gpu_louvain import gpu_louvain
 from ..graph.csr import CSRGraph
 from ..result import LouvainResult
 from ..seq.louvain import louvain as sequential_louvain
-from ..trace import RunReport, Tracer, report_from_result
+from ..trace import RunReport, Span, Tracer, report_from_result
 from .suite import SUITE, SuiteEntry
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "table1_rows",
     "ThresholdCell",
     "threshold_grid",
-    "StageRow",
-    "stage_breakdown",
 ]
 
 
@@ -131,6 +129,7 @@ def run_sequential(
     threshold: float = 1e-6,
     threshold_bin: float = 1e-2,
     bin_vertex_limit: int = 1_000,
+    tracer: Tracer | None = None,
 ) -> SolverRun:
     """Run the sequential baseline (original or adaptive-threshold)."""
     result, seconds = timed(
@@ -141,6 +140,7 @@ def run_sequential(
             threshold_bin=threshold_bin,
             threshold_final=threshold,
             bin_vertex_limit=bin_vertex_limit,
+            tracer=tracer,
         )
     )
     name = "seq-adaptive" if adaptive else "seq"
@@ -158,10 +158,13 @@ class Table1Row:
     gpu_seconds: float
     seq_modularity: float
     gpu_modularity: float
-    #: Full solver results, kept so benchmarks can emit per-stage
-    #: ``repro.trace`` reports without re-running the suite.
+    #: Full solver results and the span trees their runs recorded, kept
+    #: so benchmarks can emit per-level ``repro.trace`` reports without
+    #: re-running the suite.
     seq_result: LouvainResult | None = None
     gpu_result: LouvainResult | None = None
+    seq_spans: list[Span] = field(default_factory=list)
+    gpu_spans: list[Span] = field(default_factory=list)
 
     @property
     def speedup(self) -> float:
@@ -185,13 +188,15 @@ def table1_rows(
     """Reproduce Table 1: per graph, sizes and seq/GPU runtimes.
 
     ``adaptive_seq=True`` gives the Figure-4 variant where the sequential
-    baseline also uses the adaptive thresholds.
+    baseline also uses the adaptive thresholds.  Both runs are traced, so
+    their seconds include the tracing.
     """
     rows: list[Table1Row] = []
     for entry in entries if entries is not None else SUITE:
         graph = entry.load(scale)
-        seq = run_sequential(graph, adaptive=adaptive_seq)
-        gpu = run_gpu(graph)
+        seq_tracer, gpu_tracer = Tracer(), Tracer()
+        seq = run_sequential(graph, adaptive=adaptive_seq, tracer=seq_tracer)
+        gpu = run_gpu(graph, tracer=gpu_tracer)
         rows.append(
             Table1Row(
                 entry=entry,
@@ -203,6 +208,8 @@ def table1_rows(
                 gpu_modularity=gpu.modularity,
                 seq_result=seq.result,
                 gpu_result=gpu.result,
+                seq_spans=seq_tracer.roots,
+                gpu_spans=gpu_tracer.roots,
             )
         )
     return rows
@@ -256,32 +263,3 @@ def threshold_grid(
                 )
             )
     return cells
-
-
-@dataclass(frozen=True)
-class StageRow:
-    """One hierarchy stage's time split (figures 5 and 6)."""
-
-    stage: int
-    num_vertices: int
-    num_edges: int
-    optimization_seconds: float
-    aggregation_seconds: float
-    sweeps: int
-    modularity: float
-
-
-def stage_breakdown(result: LouvainResult) -> list[StageRow]:
-    """Per-stage optimization/aggregation split of a finished run."""
-    return [
-        StageRow(
-            stage=s.stage,
-            num_vertices=s.num_vertices,
-            num_edges=s.num_edges,
-            optimization_seconds=s.optimization_seconds,
-            aggregation_seconds=s.aggregation_seconds,
-            sweeps=s.sweeps,
-            modularity=s.modularity,
-        )
-        for s in result.timings.stages
-    ]

@@ -444,6 +444,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 bin_vertex_limit=args.bin_vertex_limit,
                 resolution=args.resolution,
             ),
+            tracer=tracer,
         )
     seconds = time.perf_counter() - start
 
@@ -460,8 +461,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         ):
             print(f"  level {k}: n={n} E={e} Q={q:.4f}")
     if tracing:
-        # Non-gpu solvers have no live tracer; report_from_result falls
-        # back to their RunTimings, so every solver emits the same shape.
+        from .obs import stage_table
         from .trace import report_from_result
 
         extra = (
@@ -485,7 +485,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 handle.write(report.to_json() + "\n")
             print(f"trace written to {args.trace}")
         if args.trace_summary:
-            print(report.summary())
+            print(stage_table(report))
     if args.output:
         with open(args.output, "w") as handle:
             handle.write("# vertex community\n")
@@ -662,12 +662,12 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 handle.write(_json.dumps(payload, indent=2) + "\n")
             print(f"trace written to {args.trace}")
         if args.trace_summary:
-            from .obs import format_stream_aggregate, stream_aggregate
+            from .obs import format_stream_aggregate, stage_table, stream_aggregate
 
             for report in session.reports:
                 print(f"--- batch {report.result.get('batch')} "
                       f"({report.result.get('mode')}) ---")
-                print(report.summary())
+                print(stage_table(report))
             print(format_stream_aggregate(stream_aggregate(session.reports)))
     if args.output:
         with open(args.output, "w") as handle:

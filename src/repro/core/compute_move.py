@@ -170,7 +170,6 @@ def compute_moves_vectorized(
             plan.score_stamp >= 0
             and sweep_plan is not None
             and sweep_plan.track_validity
-            and sweep_plan.delta_scoring_ok
             and pv.size
             # Cheap density gate: each move dirties two communities, so
             # once the moves since this bucket's last scoring rival its

@@ -217,7 +217,7 @@ class LabelPropagationEngine(Engine):
             modularity=result.modularity,
             modularity_per_level=result.modularity_per_level,
             sweeps_per_level=result.sweeps_per_level,
-            timings=result.timings,
+            sweep_stats=result.sweep_stats,
             frontier_size=size,
             frontier_fraction=size / max(graph.num_vertices, 1),
             mode="stream",
@@ -255,22 +255,22 @@ class SolverEngine(Engine):
             )
         if config is None:
             config = GPULouvainConfig()
-        return self._runner(graph, config, **self._options)
+        return self._runner(graph, config, tracer=tracer, **self._options)
 
 
-def _run_seq(graph, config):
+def _run_seq(graph, config, tracer):
     from ..seq.louvain import louvain
 
-    return louvain(graph, threshold=config.threshold_final)
+    return louvain(graph, threshold=config.threshold_final, tracer=tracer)
 
 
-def _run_plm(graph, config):
+def _run_plm(graph, config, tracer):
     from ..parallel.plm import plm_louvain
 
-    return plm_louvain(graph, threshold=config.threshold_final)
+    return plm_louvain(graph, threshold=config.threshold_final, tracer=tracer)
 
 
-def _run_lu(graph, config):
+def _run_lu(graph, config, tracer):
     from ..parallel.lu_openmp import lu_louvain
 
     return lu_louvain(
@@ -278,27 +278,29 @@ def _run_lu(graph, config):
         threshold_bin=config.threshold_bin,
         threshold_final=config.threshold_final,
         bin_vertex_limit=config.bin_vertex_limit,
+        tracer=tracer,
     )
 
 
-def _run_coarse(graph, config):
+def _run_coarse(graph, config, tracer):
     from ..parallel.coarse import coarse_louvain
 
-    return coarse_louvain(graph, threshold=config.threshold_final)
+    return coarse_louvain(graph, threshold=config.threshold_final, tracer=tracer)
 
 
-def _run_sort(graph, config):
+def _run_sort(graph, config, tracer):
     from ..parallel.sortbased import sort_based_louvain
 
-    return sort_based_louvain(graph, threshold=config.threshold_final)
+    return sort_based_louvain(graph, threshold=config.threshold_final, tracer=tracer)
 
 
-def _run_multigpu(graph, config, devices=4):
+def _run_multigpu(graph, config, tracer, devices=4):
     from ..parallel.multigpu import multigpu_louvain
 
     return multigpu_louvain(
         graph,
         num_devices=devices,
+        tracer=tracer,
         threshold_bin=config.threshold_bin,
         threshold_final=config.threshold_final,
         bin_vertex_limit=config.bin_vertex_limit,

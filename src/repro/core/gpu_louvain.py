@@ -17,6 +17,7 @@ is untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from ..gpu.costmodel import CostModel
 from ..gpu.profiler import RunProfile
 from ..metrics.modularity import modularity
 from ..metrics.teps import TepsResult, teps
-from ..metrics.timing import RunTimings, Stopwatch
+from ..metrics.timing import SweepStats
 from ..result import LouvainResult, flatten_levels
 from ..trace import NullTracer, Tracer, as_tracer
 from .aggregate import aggregate_gpu
@@ -140,7 +141,6 @@ def _run(
     no edges, so only the null-model cross term goes away), so the
     monotone stopping rule is unchanged.
     """
-    timings = RunTimings()
     profile = RunProfile() if config.engine == "simulated" else None
     cost_model = (
         CostModel(config.device, config.cost_parameters)
@@ -152,6 +152,7 @@ def _run(
     level_sizes: list[tuple[int, int]] = []
     sweeps_per_level: list[int] = []
     modularity_per_level: list[float] = []
+    sweep_stats: list[list[SweepStats]] = []
     current = graph
     prev_q = -1.0
     first_phase_sweeps = 0
@@ -159,7 +160,6 @@ def _run(
 
     for level in range(config.max_levels):
         threshold = config.threshold_for(current.num_vertices)
-        stage = timings.new_stage(current.num_vertices, current.num_edges)
         with tracer.span(
             "level",
             level=level,
@@ -167,29 +167,28 @@ def _run(
             num_edges=current.num_edges,
             threshold=threshold,
         ) as level_span:
-            with Stopwatch(stage, "optimization_seconds"):
-                outcome = modularity_optimization(
-                    current,
-                    config,
-                    threshold,
-                    initial_communities=initial_communities if level == 0 else None,
-                    cost_model=cost_model,
-                    tracer=tracer,
-                )
+            start = perf_counter()
+            outcome = modularity_optimization(
+                current,
+                config,
+                threshold,
+                initial_communities=initial_communities if level == 0 else None,
+                cost_model=cost_model,
+                tracer=tracer,
+            )
             if level == 0:
                 first_phase_sweeps = outcome.sweeps
-                first_phase_seconds = stage.optimization_seconds
+                first_phase_seconds = perf_counter() - start
             contract_by = outcome.communities
             if refine is not None:
                 contract_by = refine(current, outcome.communities, tracer)
-            with Stopwatch(stage, "aggregation_seconds"):
-                agg = aggregate_gpu(
-                    current,
-                    contract_by,
-                    config,
-                    cost_model=cost_model,
-                    tracer=tracer,
-                )
+            agg = aggregate_gpu(
+                current,
+                contract_by,
+                config,
+                cost_model=cost_model,
+                tracer=tracer,
+            )
 
             no_contraction = agg.graph.num_vertices == current.num_vertices
             # An aggregation that failed to contract onto the identity map is
@@ -206,7 +205,6 @@ def _run(
                 )
             )
             if degenerate:
-                timings.stages.pop()
                 # The span stays in the trace (observability should show
                 # the wasted level), labelled so reports can filter it.
                 level_span.set(degenerate=True)
@@ -219,12 +217,10 @@ def _run(
             levels.append(agg.dense_map)
             level_sizes.append((current.num_vertices, current.num_edges))
             sweeps_per_level.append(outcome.sweeps)
-            stage.sweeps = outcome.sweeps
-            stage.sweep_stats = outcome.profile.sweeps
+            sweep_stats.append(outcome.profile.sweeps)
             membership = flatten_levels(levels)
             q = modularity(graph, membership, resolution=config.resolution)
             modularity_per_level.append(q)
-            stage.modularity = q
             level_span.count(sweeps=outcome.sweeps, modularity=q)
 
             current = agg.graph
@@ -259,10 +255,11 @@ def _run(
         levels=levels,
         level_sizes=level_sizes,
         membership=membership,
-        modularity=modularity(graph, membership, resolution=config.resolution),
+        # The last level's Q was computed on this very membership.
+        modularity=modularity_per_level[-1],
         modularity_per_level=modularity_per_level,
         sweeps_per_level=sweeps_per_level,
-        timings=timings,
+        sweep_stats=sweep_stats,
         profile=profile,
         simulated_seconds=simulated_seconds,
         simulated_transfer_seconds=simulated_transfer_seconds,

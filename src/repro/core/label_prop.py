@@ -33,7 +33,7 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..gpu.thrust import exclusive_scan, gather_rows
 from ..metrics.modularity import modularity
-from ..metrics.timing import RunTimings, SweepStats
+from ..metrics.timing import SweepStats
 from ..result import LouvainResult
 from ..trace import NullTracer, Tracer, as_tracer, sweep_span
 from .buckets import degree_buckets
@@ -207,8 +207,6 @@ def _propagate(
 ) -> LabelPropagationResult:
     """:func:`label_propagation` body (inputs validated)."""
     n = graph.num_vertices
-    timings = RunTimings()
-    stage = timings.new_stage(n, graph.num_edges)
     labels = (
         np.arange(n, dtype=np.int64) if initial is None else initial.copy()
     )  # init_labels
@@ -276,8 +274,6 @@ def _propagate(
         active[graph.indices[edge_pos]] = True
         active &= degrees > 0
 
-    stage.sweeps = sweeps
-    stage.sweep_stats = sweep_stats
     if trace_on:
         for stats in sweep_stats:
             tracer.attach(sweep_span(stats))
@@ -288,7 +284,6 @@ def _propagate(
     dense_id = exclusive_scan(present.astype(np.int64))[:-1]
     membership = dense_id[labels]
     q = modularity(graph, membership, resolution=config.resolution)
-    stage.modularity = q
     return LabelPropagationResult(
         levels=[membership.copy()],
         level_sizes=[(n, graph.num_edges)],
@@ -296,6 +291,6 @@ def _propagate(
         modularity=q,
         modularity_per_level=[q],
         sweeps_per_level=[sweeps],
-        timings=timings,
+        sweep_stats=[sweep_stats],
         converged=converged,
     )

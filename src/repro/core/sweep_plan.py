@@ -426,7 +426,6 @@ class SweepPlan:
     move_counter: int = 0
     total_moved: int = 0
     track_validity: bool = False
-    delta_scoring_ok: bool = True
     gather_reuse_hits: int = 0
     pair_reuse_hits: int = 0
     pair_patch_hits: int = 0
@@ -589,30 +588,18 @@ class SweepPlan:
         plan.pending_stamp = self.move_counter
         return plan
 
-    def mark_moved(
-        self,
-        movers: np.ndarray,
-        old: np.ndarray | None = None,
-        new: np.ndarray | None = None,
-    ) -> None:
+    def mark_moved(self, movers: np.ndarray, old: np.ndarray, new: np.ndarray) -> None:
         """Stamp committed movers so stale pair caches are detected.
 
         ``old``/``new`` are the movers' source and target community
         labels — exactly the communities whose volume and size this
         commit changed.  Their stamps drive delta scoring (a bucket only
-        rescores vertices whose own or candidate communities changed);
-        callers that omit them keep pair validation working but must not
-        rely on delta scoring.
+        rescores vertices whose own or candidate communities changed).
         """
         if not self.track_validity or movers.size == 0:
             return
         self.move_counter += 1
         self.total_moved += int(movers.size)
         self.move_stamp[movers] = self.move_counter
-        if old is not None and new is not None:
-            self.comm_stamp[old] = self.move_counter
-            self.comm_stamp[new] = self.move_counter
-        else:
-            # Unattributed commit: community stamps can no longer prove
-            # anything untouched, so delta scoring must stay off.
-            self.delta_scoring_ok = False
+        self.comm_stamp[old] = self.move_counter
+        self.comm_stamp[new] = self.move_counter

@@ -1,4 +1,4 @@
-"""Quality, modularity, timing, and throughput metrics."""
+"""Quality, modularity, per-sweep and throughput metrics."""
 
 from .modularity import (
     community_internal_weights,
@@ -23,7 +23,7 @@ from .quality import (
     partition_stats,
 )
 from .teps import TepsResult, teps
-from .timing import RunTimings, StageTiming, Stopwatch, SweepStats
+from .timing import SweepStats
 
 __all__ = [
     "modularity",
@@ -44,8 +44,5 @@ __all__ = [
     "partition_stats",
     "TepsResult",
     "teps",
-    "RunTimings",
-    "StageTiming",
-    "Stopwatch",
     "SweepStats",
 ]

@@ -1,17 +1,16 @@
-"""Timing records for the per-stage breakdowns of figures 5 and 6.
+"""Per-sweep counters of the modularity-optimization phase.
 
-A Louvain run is a sequence of *stages* (levels of the hierarchy), each
-made of a *modularity optimization* phase and an *aggregation* phase.  The
-solvers in :mod:`repro.core` and :mod:`repro.seq` fill a
-:class:`RunTimings` as they go; the figure-5/6 benchmark prints it.
+A Louvain run's wall-clock split (the per-level optimization vs
+aggregation seconds of figures 5 and 6) lives in its span tree
+(:mod:`repro.trace`); this module holds the one record the spans are
+built from for each sweep, :class:`SweepStats`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
-__all__ = ["SweepStats", "StageTiming", "RunTimings", "Stopwatch"]
+__all__ = ["SweepStats"]
 
 
 @dataclass
@@ -72,124 +71,3 @@ class SweepStats:
         if self.q_exact is None:
             return None
         return abs(self.q_incremental - self.q_exact)
-
-
-@dataclass
-class StageTiming:
-    """Wall-clock seconds spent in one stage of the hierarchy."""
-
-    stage: int
-    optimization_seconds: float = 0.0
-    aggregation_seconds: float = 0.0
-    num_vertices: int = 0
-    num_edges: int = 0
-    sweeps: int = 0
-    modularity: float = 0.0
-    sweep_stats: list[SweepStats] = field(default_factory=list)
-
-    @property
-    def total_seconds(self) -> float:
-        """Optimization plus aggregation time."""
-        return self.optimization_seconds + self.aggregation_seconds
-
-    @property
-    def gather_reuse_hits(self) -> int:
-        """Cached bucket gathers served across the stage's sweeps."""
-        return sum(s.gather_reuse_hits for s in self.sweep_stats)
-
-    @property
-    def pair_reuse_hits(self) -> int:
-        """Cached pair structures served across the stage's sweeps."""
-        return sum(s.pair_reuse_hits for s in self.sweep_stats)
-
-    @property
-    def pair_patch_hits(self) -> int:
-        """Cached pair structures patched in place across the stage."""
-        return sum(s.pair_patch_hits for s in self.sweep_stats)
-
-    @property
-    def max_q_drift(self) -> float:
-        """Worst incremental-vs-exact modularity drift observed."""
-        drifts = [s.q_drift for s in self.sweep_stats if s.q_drift is not None]
-        return max(drifts, default=0.0)
-
-
-@dataclass
-class RunTimings:
-    """All stage timings of one solver run."""
-
-    stages: list[StageTiming] = field(default_factory=list)
-
-    def new_stage(self, num_vertices: int, num_edges: int) -> StageTiming:
-        """Append and return a fresh :class:`StageTiming`."""
-        stage = StageTiming(
-            stage=len(self.stages), num_vertices=num_vertices, num_edges=num_edges
-        )
-        self.stages.append(stage)
-        return stage
-
-    @property
-    def total_seconds(self) -> float:
-        """Total wall-clock time across stages."""
-        return sum(s.total_seconds for s in self.stages)
-
-    @property
-    def optimization_seconds(self) -> float:
-        """Total time in modularity optimization phases."""
-        return sum(s.optimization_seconds for s in self.stages)
-
-    @property
-    def aggregation_seconds(self) -> float:
-        """Total time in aggregation phases."""
-        return sum(s.aggregation_seconds for s in self.stages)
-
-    def optimization_fraction(self) -> float:
-        """Fraction of total time spent optimizing (paper reports ~0.7)."""
-        total = self.total_seconds
-        return self.optimization_seconds / total if total > 0 else 0.0
-
-    @property
-    def gather_reuse_hits(self) -> int:
-        """Cached bucket gathers served across the whole run."""
-        return sum(s.gather_reuse_hits for s in self.stages)
-
-    @property
-    def pair_reuse_hits(self) -> int:
-        """Cached pair structures served across the whole run."""
-        return sum(s.pair_reuse_hits for s in self.stages)
-
-    @property
-    def pair_patch_hits(self) -> int:
-        """Cached pair structures patched in place across the whole run."""
-        return sum(s.pair_patch_hits for s in self.stages)
-
-    @property
-    def max_q_drift(self) -> float:
-        """Worst incremental-vs-exact modularity drift across stages."""
-        return max((s.max_q_drift for s in self.stages), default=0.0)
-
-
-class Stopwatch:
-    """Context manager that adds elapsed seconds to an attribute.
-
-    >>> stage = StageTiming(stage=0)
-    >>> with Stopwatch(stage, "optimization_seconds"):
-    ...     pass
-    """
-
-    def __init__(self, record: object, attribute: str) -> None:
-        self._record = record
-        self._attribute = attribute
-        self._start = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        elapsed = time.perf_counter() - self._start
-        setattr(
-            self._record,
-            self._attribute,
-            getattr(self._record, self._attribute) + elapsed,
-        )

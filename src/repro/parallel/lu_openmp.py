@@ -24,10 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..metrics.modularity import modularity
-from ..metrics.timing import RunTimings, Stopwatch
-from ..result import LouvainResult, flatten_levels
+from ..result import LouvainResult
 from ..seq.aggregation import aggregate
+from ..seq.louvain import multilevel
+from ..trace import NullTracer, Tracer
 from .coloring import color_classes, greedy_coloring
 
 __all__ = ["lu_louvain", "lu_one_level"]
@@ -128,48 +128,17 @@ def lu_louvain(
     threshold_final: float = 1e-6,
     bin_vertex_limit: int = 100_000,
     max_levels: int = 200,
+    tracer: Tracer | NullTracer | None = None,
 ) -> LouvainResult:
     """Full Lu-et-al. Louvain with adaptive thresholds."""
-    timings = RunTimings()
-    levels: list[np.ndarray] = []
-    level_sizes: list[tuple[int, int]] = []
-    sweeps_per_level: list[int] = []
-    modularity_per_level: list[float] = []
-    current = graph
-    prev_q = -1.0
-
-    for _ in range(max_levels):
-        threshold = (
-            threshold_bin
-            if current.num_vertices > bin_vertex_limit
-            else threshold_final
-        )
-        stage = timings.new_stage(current.num_vertices, current.num_edges)
-        with Stopwatch(stage, "optimization_seconds"):
-            comm, sweeps = lu_one_level(current, threshold)
-        with Stopwatch(stage, "aggregation_seconds"):
-            contracted, dense = aggregate(current, comm)
-        levels.append(dense)
-        level_sizes.append((current.num_vertices, current.num_edges))
-        sweeps_per_level.append(sweeps)
-        stage.sweeps = sweeps
-        membership = flatten_levels(levels)
-        q = modularity(graph, membership)
-        modularity_per_level.append(q)
-        stage.modularity = q
-        no_contraction = contracted.num_vertices == current.num_vertices
-        current = contracted
-        if q - prev_q < threshold_final or no_contraction:
-            break
-        prev_q = q
-
-    membership = flatten_levels(levels)
-    return LouvainResult(
-        levels=levels,
-        level_sizes=level_sizes,
-        membership=membership,
-        modularity=modularity(graph, membership),
-        modularity_per_level=modularity_per_level,
-        sweeps_per_level=sweeps_per_level,
-        timings=timings,
+    return multilevel(
+        graph,
+        lu_one_level,
+        aggregate,
+        threshold=threshold_final,
+        threshold_bin=threshold_bin,
+        bin_vertex_limit=bin_vertex_limit,
+        max_levels=max_levels,
+        solver="lu",
+        tracer=tracer,
     )

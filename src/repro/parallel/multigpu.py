@@ -31,8 +31,8 @@ from ..core.gpu_louvain import GPULouvainResult, gpu_louvain
 from ..graph.build import induced_subgraph
 from ..graph.csr import CSRGraph
 from ..metrics.modularity import modularity
-from ..metrics.timing import RunTimings, Stopwatch
 from ..result import LouvainResult, flatten_levels
+from ..trace import NullTracer, Tracer, as_tracer
 from .coarse import random_parts
 from .vector_aggregate import aggregate_vectorized
 
@@ -111,6 +111,7 @@ def multigpu_louvain(
     rng: np.random.Generator | int | None = 0,
     phase_a_levels: int = 1,
     refine: bool = False,
+    tracer: Tracer | NullTracer | None = None,
     **overrides,
 ) -> MultiGpuResult:
     """Hierarchical multi-device Louvain (coarse across, bucketed within).
@@ -125,6 +126,11 @@ def multigpu_louvain(
     warm-started pass over the *whole* graph after the merge (only
     meaningful when the graph fits a single device; off by default to
     stay faithful to the hierarchical multi-GPU architecture of [4]).
+
+    ``tracer`` records ``run`` → ``level`` 0 (``optimization`` = the
+    per-device phase, ``aggregation`` = the merge contraction), with
+    the finishing :func:`gpu_louvain` run (and the ``refine`` run) nested
+    as ``run`` spans of their own.
     """
     import time
 
@@ -147,77 +153,73 @@ def multigpu_louvain(
         raise ValueError("parts must assign one device per vertex")
     cut = cut_statistics(graph, parts)
 
-    timings = RunTimings()
-    stage = timings.new_stage(n, graph.num_edges)
+    tracer = as_tracer(tracer)
 
-    # Phase A: every device clusters its induced subgraph independently.
-    local_comm = np.arange(n, dtype=np.int64)
-    device_seconds: list[float] = []
-    device_results: list[GPULouvainResult] = []
-    with Stopwatch(stage, "optimization_seconds"):
-        for device in range(int(parts.max()) + 1 if n else 0):
-            members = np.flatnonzero(parts == device)
-            start = time.perf_counter()
-            if members.size:
-                sub = induced_subgraph(graph, members)
-                result = gpu_louvain(sub, device_config)
-                device_results.append(result)
-                # Map subgraph communities back to disjoint global labels.
-                local_comm[members] = members[result.membership]
-            device_seconds.append(time.perf_counter() - start)
+    with tracer.span("run", solver="multigpu"):
+        with tracer.span(
+            "level", level=0, num_vertices=n, num_edges=graph.num_edges
+        ) as level_span:
+            # Phase A: every device clusters its induced subgraph
+            # independently.
+            local_comm = np.arange(n, dtype=np.int64)
+            device_seconds: list[float] = []
+            device_results: list[GPULouvainResult] = []
+            with tracer.span("optimization") as opt_span:
+                for device in range(int(parts.max()) + 1 if n else 0):
+                    members = np.flatnonzero(parts == device)
+                    start = time.perf_counter()
+                    if members.size:
+                        sub = induced_subgraph(graph, members)
+                        result = gpu_louvain(sub, device_config)
+                        device_results.append(result)
+                        # Map subgraph communities back to disjoint global
+                        # labels.
+                        local_comm[members] = members[result.membership]
+                    device_seconds.append(time.perf_counter() - start)
+                sweeps_per_level = [
+                    max((sum(r.sweeps_per_level) for r in device_results), default=0)
+                ]
+                opt_span.count(sweeps=sweeps_per_level[0])
 
-    # Phase B: contract by the union of device clusterings, finish on one
-    # device.
-    merge_start = time.perf_counter()
-    levels: list[np.ndarray] = []
-    with Stopwatch(stage, "aggregation_seconds"):
-        contracted, dense = aggregate_vectorized(graph, local_comm)
-    levels.append(dense)
-    level_sizes = [(n, graph.num_edges)]
-    sweeps_per_level = [
-        max((sum(r.sweeps_per_level) for r in device_results), default=0)
-    ]
-    membership = flatten_levels(levels)
-    modularity_per_level = [modularity(graph, membership)]
-    stage.modularity = modularity_per_level[0]
+            # Phase B: contract by the union of device clusterings, finish
+            # on one device.
+            merge_start = time.perf_counter()
+            levels: list[np.ndarray] = []
+            with tracer.span("aggregation"):
+                contracted, dense = aggregate_vectorized(graph, local_comm)
+            levels.append(dense)
+            level_sizes = [(n, graph.num_edges)]
+            modularity_per_level = [modularity(graph, flatten_levels(levels))]
+            level_span.count(
+                sweeps=sweeps_per_level[0], modularity=modularity_per_level[0]
+            )
 
-    finish = gpu_louvain(contracted, config)
-    for level_map, size, sweeps, _q in zip(
-        finish.levels,
-        finish.level_sizes,
-        finish.sweeps_per_level,
-        finish.modularity_per_level,
-    ):
-        levels.append(level_map)
-        level_sizes.append(size)
-        sweeps_per_level.append(sweeps)
-        membership = flatten_levels(levels)
-        modularity_per_level.append(modularity(graph, membership))
-    if refine:
-        refined = gpu_louvain(
-            graph, config, initial_communities=flatten_levels(levels)
-        )
-        levels = list(refined.levels)
-        level_sizes = list(refined.level_sizes)
-        sweeps_per_level = list(refined.sweeps_per_level)
-        modularity_per_level = list(refined.modularity_per_level)
-        finish = refined
-    merge_seconds = time.perf_counter() - merge_start
-    for finish_stage in finish.timings.stages:
-        copied = timings.new_stage(finish_stage.num_vertices, finish_stage.num_edges)
-        copied.optimization_seconds = finish_stage.optimization_seconds
-        copied.aggregation_seconds = finish_stage.aggregation_seconds
-        copied.sweeps = finish_stage.sweeps
+        finish = gpu_louvain(contracted, config, tracer=tracer)
+        for level_map, size, sweeps in zip(
+            finish.levels, finish.level_sizes, finish.sweeps_per_level
+        ):
+            levels.append(level_map)
+            level_sizes.append(size)
+            sweeps_per_level.append(sweeps)
+            modularity_per_level.append(modularity(graph, flatten_levels(levels)))
+        if refine:
+            refined = gpu_louvain(
+                graph, config, initial_communities=flatten_levels(levels), tracer=tracer
+            )
+            levels = list(refined.levels)
+            level_sizes = list(refined.level_sizes)
+            sweeps_per_level = list(refined.sweeps_per_level)
+            modularity_per_level = list(refined.modularity_per_level)
+        merge_seconds = time.perf_counter() - merge_start
 
-    membership = flatten_levels(levels)
     return MultiGpuResult(
         levels=levels,
         level_sizes=level_sizes,
-        membership=membership,
-        modularity=modularity(graph, membership),
+        membership=flatten_levels(levels),
+        # The last level's Q was computed on this very membership.
+        modularity=modularity_per_level[-1],
         modularity_per_level=modularity_per_level,
         sweeps_per_level=sweeps_per_level,
-        timings=timings,
         num_devices=num_devices,
         device_seconds=device_seconds,
         merge_seconds=merge_seconds,

@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..metrics.modularity import modularity
-from ..metrics.timing import RunTimings, Stopwatch
-from ..result import LouvainResult, flatten_levels
+from ..result import LouvainResult
+from ..seq.louvain import multilevel
+from ..trace import NullTracer, Tracer
 from .chunked import chunked_one_level
 from .vector_aggregate import aggregate_vectorized
 
@@ -57,43 +57,15 @@ def plm_louvain(
     threshold: float = 1e-6,
     num_threads: int = 32,
     max_levels: int = 200,
+    tracer: Tracer | NullTracer | None = None,
 ) -> LouvainResult:
     """Full PLM: optimization + contraction until modularity stalls."""
-    timings = RunTimings()
-    levels: list[np.ndarray] = []
-    level_sizes: list[tuple[int, int]] = []
-    sweeps_per_level: list[int] = []
-    modularity_per_level: list[float] = []
-    current = graph
-    prev_q = -1.0
-
-    for _ in range(max_levels):
-        stage = timings.new_stage(current.num_vertices, current.num_edges)
-        with Stopwatch(stage, "optimization_seconds"):
-            comm, sweeps = plm_one_level(current, threshold, num_threads=num_threads)
-        with Stopwatch(stage, "aggregation_seconds"):
-            contracted, dense = aggregate_vectorized(current, comm)
-        levels.append(dense)
-        level_sizes.append((current.num_vertices, current.num_edges))
-        sweeps_per_level.append(sweeps)
-        stage.sweeps = sweeps
-        membership = flatten_levels(levels)
-        q = modularity(graph, membership)
-        modularity_per_level.append(q)
-        stage.modularity = q
-        no_contraction = contracted.num_vertices == current.num_vertices
-        current = contracted
-        if q - prev_q < threshold or no_contraction:
-            break
-        prev_q = q
-
-    membership = flatten_levels(levels)
-    return LouvainResult(
-        levels=levels,
-        level_sizes=level_sizes,
-        membership=membership,
-        modularity=modularity(graph, membership),
-        modularity_per_level=modularity_per_level,
-        sweeps_per_level=sweeps_per_level,
-        timings=timings,
+    return multilevel(
+        graph,
+        lambda level_graph, t: plm_one_level(level_graph, t, num_threads=num_threads),
+        aggregate_vectorized,
+        threshold=threshold,
+        max_levels=max_levels,
+        solver="plm",
+        tracer=tracer,
     )

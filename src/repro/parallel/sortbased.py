@@ -24,10 +24,10 @@ import numpy as np
 from ..gpu.costmodel import CostModel, warp_schedule
 from .chunked import chunked_one_level
 from ..graph.csr import CSRGraph
-from ..metrics.modularity import modularity
-from ..metrics.timing import RunTimings, Stopwatch
-from ..result import LouvainResult, flatten_levels
+from ..result import LouvainResult
 from ..seq.aggregation import aggregate
+from ..seq.louvain import multilevel
+from ..trace import NullTracer, Tracer
 
 __all__ = ["sort_based_louvain", "sort_one_level", "sort_kernel_cycles"]
 
@@ -60,45 +60,17 @@ def sort_based_louvain(
     *,
     threshold: float = 1e-6,
     max_levels: int = 200,
+    tracer: Tracer | NullTracer | None = None,
 ) -> LouvainResult:
     """Full sort-based Louvain (parallel phase 1, serial aggregation)."""
-    timings = RunTimings()
-    levels: list[np.ndarray] = []
-    level_sizes: list[tuple[int, int]] = []
-    sweeps_per_level: list[int] = []
-    modularity_per_level: list[float] = []
-    current = graph
-    prev_q = -1.0
-
-    for _ in range(max_levels):
-        stage = timings.new_stage(current.num_vertices, current.num_edges)
-        with Stopwatch(stage, "optimization_seconds"):
-            comm, sweeps = sort_one_level(current, threshold)
-        with Stopwatch(stage, "aggregation_seconds"):
-            contracted, dense = aggregate(current, comm)  # serial, as in [4]
-        levels.append(dense)
-        level_sizes.append((current.num_vertices, current.num_edges))
-        sweeps_per_level.append(sweeps)
-        stage.sweeps = sweeps
-        membership = flatten_levels(levels)
-        q = modularity(graph, membership)
-        modularity_per_level.append(q)
-        stage.modularity = q
-        no_contraction = contracted.num_vertices == current.num_vertices
-        current = contracted
-        if q - prev_q < threshold or no_contraction:
-            break
-        prev_q = q
-
-    membership = flatten_levels(levels)
-    return LouvainResult(
-        levels=levels,
-        level_sizes=level_sizes,
-        membership=membership,
-        modularity=modularity(graph, membership),
-        modularity_per_level=modularity_per_level,
-        sweeps_per_level=sweeps_per_level,
-        timings=timings,
+    return multilevel(
+        graph,
+        sort_one_level,
+        aggregate,  # serial, as in [4]
+        threshold=threshold,
+        max_levels=max_levels,
+        solver="sort",
+        tracer=tracer,
     )
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics.timing import RunTimings
+from .metrics.timing import SweepStats
 
 __all__ = ["LouvainResult", "StreamResult", "flatten_levels"]
 
@@ -50,8 +50,13 @@ class LouvainResult:
         Modularity after each stage completed.
     sweeps_per_level:
         Number of modularity-optimization sweeps each stage ran.
-    timings:
-        Per-stage wall-clock breakdown (figures 5/6).
+    sweep_stats:
+        ``sweep_stats[k]`` holds one :class:`~repro.metrics.timing.SweepStats`
+        per optimization sweep of level ``k``.  Filled by the engines
+        built on :mod:`repro.core.mod_opt` and by label propagation; the
+        reference solvers leave it empty.  Per-level seconds are not
+        part of the result: they live in the run's span tree
+        (:mod:`repro.trace`).
     """
 
     levels: list[np.ndarray]
@@ -60,7 +65,7 @@ class LouvainResult:
     modularity: float
     modularity_per_level: list[float] = field(default_factory=list)
     sweeps_per_level: list[int] = field(default_factory=list)
-    timings: RunTimings = field(default_factory=RunTimings)
+    sweep_stats: list[list[SweepStats]] = field(default_factory=list)
 
     @property
     def num_levels(self) -> int:

@@ -24,11 +24,11 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 from ..metrics.modularity import modularity
-from ..metrics.timing import RunTimings, Stopwatch
 from ..result import LouvainResult, flatten_levels
+from ..trace import NullTracer, Tracer, as_tracer
 from .aggregation import aggregate
 
-__all__ = ["louvain", "one_level"]
+__all__ = ["louvain", "multilevel", "one_level"]
 
 
 def one_level(
@@ -123,6 +123,80 @@ def one_level(
     return np.asarray(comm, dtype=np.int64), sweeps
 
 
+def multilevel(
+    graph: CSRGraph,
+    optimize,
+    contract,
+    *,
+    threshold: float,
+    threshold_bin: float | None = None,
+    bin_vertex_limit: int = 0,
+    max_levels: int = 200,
+    solver: str,
+    tracer: Tracer | NullTracer | None = None,
+) -> LouvainResult:
+    """The level loop the reference solvers share.
+
+    Alternates ``optimize(level_graph, level_threshold) -> (communities,
+    sweeps)`` and ``contract(level_graph, communities) -> (contracted,
+    dense_map)`` until a level gains less than ``threshold`` modularity
+    or contracts nothing.  ``level_threshold`` is ``threshold_bin``
+    while the level graph has more than ``bin_vertex_limit`` vertices
+    (when ``threshold_bin`` is given), else ``threshold``.
+
+    ``tracer`` records the run as ``run`` (``solver=solver``) →
+    ``level`` → ``optimization``/``aggregation`` spans, which hold the
+    per-level seconds of figures 5 and 6.
+    """
+    tracer = as_tracer(tracer)
+    levels: list[np.ndarray] = []
+    level_sizes: list[tuple[int, int]] = []
+    sweeps_per_level: list[int] = []
+    modularity_per_level: list[float] = []
+    current = graph
+    prev_q = -1.0
+
+    with tracer.span("run", solver=solver):
+        for level in range(max_levels):
+            level_threshold = (
+                threshold_bin
+                if threshold_bin is not None and current.num_vertices > bin_vertex_limit
+                else threshold
+            )
+            with tracer.span(
+                "level",
+                level=level,
+                num_vertices=current.num_vertices,
+                num_edges=current.num_edges,
+            ) as level_span:
+                with tracer.span("optimization") as opt_span:
+                    comm, sweeps = optimize(current, level_threshold)
+                    opt_span.count(sweeps=sweeps)
+                with tracer.span("aggregation"):
+                    contracted, dense = contract(current, comm)
+                levels.append(dense)
+                level_sizes.append((current.num_vertices, current.num_edges))
+                sweeps_per_level.append(sweeps)
+                q = modularity(graph, flatten_levels(levels))
+                modularity_per_level.append(q)
+                level_span.count(sweeps=sweeps, modularity=q)
+            no_contraction = contracted.num_vertices == current.num_vertices
+            current = contracted
+            if q - prev_q < threshold or no_contraction:
+                break
+            prev_q = q
+
+    return LouvainResult(
+        levels=levels,
+        level_sizes=level_sizes,
+        membership=flatten_levels(levels),
+        # The last level's Q was computed on this very membership.
+        modularity=modularity_per_level[-1],
+        modularity_per_level=modularity_per_level,
+        sweeps_per_level=sweeps_per_level,
+    )
+
+
 def louvain(
     graph: CSRGraph,
     *,
@@ -132,6 +206,7 @@ def louvain(
     threshold_final: float = 1e-6,
     bin_vertex_limit: int = 100_000,
     max_levels: int = 200,
+    tracer: Tracer | NullTracer | None = None,
 ) -> LouvainResult:
     """Full sequential Louvain: phases of optimization + aggregation.
 
@@ -148,48 +223,17 @@ def louvain(
         ``threshold_final``.
     max_levels:
         Safety bound on hierarchy depth.
+    tracer:
+        Records the run's span tree (see :func:`multilevel`).
     """
-    timings = RunTimings()
-    levels: list[np.ndarray] = []
-    level_sizes: list[tuple[int, int]] = []
-    sweeps_per_level: list[int] = []
-    modularity_per_level: list[float] = []
-    current = graph
-    prev_q = -1.0
-
-    for _ in range(max_levels):
-        level_threshold = (
-            (threshold_bin if current.num_vertices > bin_vertex_limit else threshold_final)
-            if adaptive
-            else threshold
-        )
-        stage = timings.new_stage(current.num_vertices, current.num_edges)
-        with Stopwatch(stage, "optimization_seconds"):
-            comm, sweeps = one_level(current, level_threshold)
-        with Stopwatch(stage, "aggregation_seconds"):
-            contracted, dense = aggregate(current, comm)
-        levels.append(dense)
-        level_sizes.append((current.num_vertices, current.num_edges))
-        sweeps_per_level.append(sweeps)
-        stage.sweeps = sweeps
-        membership = flatten_levels(levels)
-        q = modularity(graph, membership)
-        modularity_per_level.append(q)
-        stage.modularity = q
-        stop_threshold = threshold_final if adaptive else threshold
-        if q - prev_q < stop_threshold or contracted.num_vertices == current.num_vertices:
-            current = contracted
-            break
-        prev_q = q
-        current = contracted
-
-    membership = flatten_levels(levels)
-    return LouvainResult(
-        levels=levels,
-        level_sizes=level_sizes,
-        membership=membership,
-        modularity=modularity(graph, membership),
-        modularity_per_level=modularity_per_level,
-        sweeps_per_level=sweeps_per_level,
-        timings=timings,
+    return multilevel(
+        graph,
+        one_level,
+        aggregate,
+        threshold=threshold_final if adaptive else threshold,
+        threshold_bin=threshold_bin if adaptive else None,
+        bin_vertex_limit=bin_vertex_limit,
+        max_levels=max_levels,
+        solver="seq",
+        tracer=tracer,
     )

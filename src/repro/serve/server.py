@@ -829,9 +829,7 @@ class ReproServer:
             # thread — re-bind the request identity explicitly so the
             # batch span tree and flight entries carry this request's
             # trace id.
-            trace_token = bind_trace_context(
-                trace_ctx.child("request") if trace_ctx is not None else None
-            )
+            trace_token = bind_trace_context(trace_ctx)
             cid_token = bind_correlation_id(primary_cid)
             try:
                 with as_tracer(session.tracer).span(

@@ -44,7 +44,7 @@ from ..graph.build import apply_edge_batch
 from ..graph.csr import CSRGraph
 from ..metrics.modularity import modularity
 from ..metrics.quality import normalized_mutual_information
-from ..metrics.timing import RunTimings, Stopwatch
+from ..metrics.timing import SweepStats
 from ..result import StreamResult, flatten_levels
 from ..trace import (
     NullTracer,
@@ -584,7 +584,7 @@ class StreamSession:
                 modularity=full.modularity,
                 modularity_per_level=full.modularity_per_level,
                 sweeps_per_level=full.sweeps_per_level,
-                timings=full.timings,
+                sweep_stats=full.sweep_stats,
                 batch=self.batches,
                 edges_added=edges_added,
                 edges_removed=edges_removed,
@@ -639,7 +639,7 @@ class StreamSession:
                     modularity=full.modularity,
                     modularity_per_level=full.modularity_per_level,
                     sweeps_per_level=full.sweeps_per_level,
-                    timings=full.timings,
+                    sweep_stats=full.sweep_stats,
                     batch=self.batches,
                     edges_added=edges_added,
                     edges_removed=edges_removed,
@@ -679,11 +679,11 @@ class StreamSession:
         cfg = self.config
         lcfg = cfg.louvain
         exact = cfg.screening == "exact"
-        timings = RunTimings()
         levels: list[np.ndarray] = []
         level_sizes: list[tuple[int, int]] = []
         sweeps_per_level: list[int] = []
         modularity_per_level: list[float] = []
+        sweep_stats: list[list[SweepStats]] = []
         frontier_size = 0
         current = graph
         prev_q = -1.0
@@ -691,7 +691,6 @@ class StreamSession:
         tracer = self.tracer
         for level in range(lcfg.max_levels):
             threshold = lcfg.threshold_for(current.num_vertices)
-            stage = timings.new_stage(current.num_vertices, current.num_edges)
             with tracer.span(
                 "level",
                 level=level,
@@ -699,39 +698,35 @@ class StreamSession:
                 num_edges=current.num_edges,
                 threshold=threshold,
             ) as level_span:
-                with Stopwatch(stage, "optimization_seconds"):
-                    if level == 0:
-                        outcome = frontier_modularity_optimization(
-                            current,
-                            lcfg,
-                            threshold,
-                            initial_communities=self.membership,
-                            frontier=frontier,
-                            screening=cfg.screening,
-                            expansion=(
-                                "neighbors"
-                                if cfg.frontier_scope == "endpoints"
-                                else "community"
-                            ),
-                            tracer=tracer,
-                        )
-                        frontier_size = outcome.frontier_initial
-                    else:
-                        outcome = modularity_optimization(
-                            current, lcfg, threshold, tracer=tracer
-                        )
+                if level == 0:
+                    outcome = frontier_modularity_optimization(
+                        current,
+                        lcfg,
+                        threshold,
+                        initial_communities=self.membership,
+                        frontier=frontier,
+                        screening=cfg.screening,
+                        expansion=(
+                            "neighbors"
+                            if cfg.frontier_scope == "endpoints"
+                            else "community"
+                        ),
+                        tracer=tracer,
+                    )
+                    frontier_size = outcome.frontier_initial
+                else:
+                    outcome = modularity_optimization(
+                        current, lcfg, threshold, tracer=tracer
+                    )
                 contract_by = outcome.communities
                 if refine is not None:
                     contract_by = refine(current, outcome.communities, tracer)
-                with Stopwatch(stage, "aggregation_seconds"):
-                    if exact:
-                        agg = aggregate_gpu(
-                            current, contract_by, lcfg, tracer=tracer
-                        )
-                    else:
-                        agg = aggregate_bincount(
-                            current, contract_by, lcfg, tracer=tracer
-                        )
+                if exact:
+                    agg = aggregate_gpu(current, contract_by, lcfg, tracer=tracer)
+                else:
+                    agg = aggregate_bincount(
+                        current, contract_by, lcfg, tracer=tracer
+                    )
 
                 no_contraction = agg.graph.num_vertices == current.num_vertices
                 degenerate = (
@@ -742,15 +737,13 @@ class StreamSession:
                     )
                 )
                 if degenerate:
-                    timings.stages.pop()
                     level_span.set(degenerate=True)
                     break
 
                 levels.append(agg.dense_map)
                 level_sizes.append((current.num_vertices, current.num_edges))
                 sweeps_per_level.append(outcome.sweeps)
-                stage.sweeps = outcome.sweeps
-                stage.sweep_stats = outcome.profile.sweeps
+                sweep_stats.append(outcome.profile.sweeps)
                 if exact:
                     q = modularity(
                         graph, flatten_levels(levels), resolution=lcfg.resolution
@@ -760,7 +753,6 @@ class StreamSession:
                     # scores the flattened membership at O(coarse) cost.
                     q = _singleton_modularity(agg.graph, lcfg.resolution)
                 modularity_per_level.append(q)
-                stage.modularity = q
                 level_span.count(sweeps=outcome.sweeps, modularity=q)
 
                 current = agg.graph
@@ -769,11 +761,14 @@ class StreamSession:
                 prev_q = q
 
         membership = flatten_levels(levels)
-        # The reported Q is always an exact recompute on the updated
-        # graph — drift in the cheap per-level estimates cannot hide.
-        if exact or graph.total_weight == 0.0:
-            # metrics.modularity, same call as gpu_louvain (bit-parity;
-            # also guards the all-edges-deleted graph, where Q := 0).
+        # The reported Q is always exact on the updated graph — drift in
+        # the cheap per-level estimates cannot hide.
+        if exact:
+            # The last level's Q is metrics.modularity of this membership
+            # (the same value gpu_louvain reports: bit-parity).
+            q_exact = modularity_per_level[-1]
+        elif graph.total_weight == 0.0:
+            # All edges deleted: Q := 0 (metrics.modularity's guard).
             q_exact = modularity(graph, membership, resolution=lcfg.resolution)
         else:
             q_exact = _partition_modularity(
@@ -790,7 +785,7 @@ class StreamSession:
             modularity=q_exact,
             modularity_per_level=modularity_per_level,
             sweeps_per_level=sweeps_per_level,
-            timings=timings,
+            sweep_stats=sweep_stats,
             frontier_size=frontier_size,
             frontier_fraction=frontier_size / max(graph.num_vertices, 1),
             mode="stream",

@@ -11,11 +11,13 @@ simulated, and streaming — instead of only the simulated one:
 * :data:`NULL_TRACER` is a shared no-op tracer — solvers accept
   ``tracer=None`` and pay nothing on the hot path when tracing is off;
 * :class:`RunReport` wraps one traced run (or one streaming batch) as a
-  JSON document with a documented schema (``repro.trace/1``), plus a
-  human-readable :meth:`RunReport.summary` table;
-* :func:`spans_from_timings` converts the :class:`~repro.metrics.timing.
-  RunTimings` any solver already produces into the same span tree, so
-  solvers that do not thread a live tracer still report per-phase data.
+  JSON document with a documented schema (``repro.trace/1``);
+  :func:`repro.obs.analyze.stage_table` renders its per-level table.
+
+The span tree is the one record of per-level wall-clock time: every
+solver (the GPU, streaming and label-propagation engines and the
+reference solvers) opens its ``level`` / ``optimization`` /
+``aggregation`` spans live.
 
 Schema (``repro.trace/1``)
 --------------------------
@@ -67,7 +69,6 @@ __all__ = [
     "trace_context",
     "RunReport",
     "report_from_result",
-    "spans_from_timings",
     "sweep_span",
     "validate_report",
 ]
@@ -77,28 +78,18 @@ TRACE_SCHEMA = "repro.trace/1"
 
 
 # --------------------------------------------------------------------- #
-# Trace context: one id per request, carried across threads + processes
+# Trace context: one id per request, carried across threads
 # --------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class TraceContext:
     """The ambient identity of the trace being recorded.
 
     ``trace_id`` names one end-to-end story (a serve request, a CLI
-    run); ``span_path`` is the ``/``-joined name path of the span under
-    which remotely-produced spans should re-parent (e.g.
-    ``"request/batch/level"``).  The dataclass is frozen and picklable,
-    so it can travel verbatim to another process and re-parent the spans
-    made there under the originating request instead of leaving orphan
-    trees.
+    run); flight-recorded spans and log lines made while the context is
+    bound carry it.
     """
 
     trace_id: str
-    span_path: str = ""
-
-    def child(self, name: str) -> "TraceContext":
-        """The context one span deeper (``span_path + "/" + name``)."""
-        path = f"{self.span_path}/{name}" if self.span_path else name
-        return TraceContext(self.trace_id, path)
 
 
 _trace_var: contextvars.ContextVar[TraceContext | None] = contextvars.ContextVar(
@@ -317,28 +308,6 @@ class Tracer:
         """Open a child span of the current span (or a new root)."""
         return _SpanContext(self, Span(name, attributes=attributes))
 
-    def event(
-        self,
-        name: str,
-        *,
-        seconds: float = 0.0,
-        attributes: dict[str, Any] | None = None,
-        counters: dict[str, float] | None = None,
-    ) -> Span:
-        """Attach a pre-measured leaf span to the current span.
-
-        Used on hot paths where wrapping the measured region in a
-        ``with`` block is awkward: measure the duration yourself and
-        record it after the fact.
-        """
-        span = Span(
-            name,
-            attributes=dict(attributes or {}),
-            counters=dict(counters or {}),
-            seconds=seconds,
-        )
-        return self.attach(span)
-
     def attach(self, span: Span) -> Span:
         """Attach a pre-built (closed) span to the current span."""
         if self._stack:
@@ -355,7 +324,7 @@ class Tracer:
                 span.name,
                 path=f"{prefix}/{span.name}" if prefix else span.name,
                 seconds=span.seconds,
-                trace_id=span.attributes.get("trace_id") or self.trace_id,
+                trace_id=self.trace_id,
                 attributes=span.attributes or None,
                 counters=span.counters or None,
             )
@@ -425,9 +394,6 @@ class NullTracer:
     def span(self, name: str, **attributes: Any) -> _NullSpanContext:
         return self._context
 
-    def event(self, name: str, **kwargs: Any) -> Span:
-        return self._span
-
     def attach(self, span: Span) -> Span:
         return span
 
@@ -448,7 +414,7 @@ def as_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
 
 
 # --------------------------------------------------------------------- #
-# Converting existing observability records into spans
+# Sweep spans: views built from the SweepStats records
 # --------------------------------------------------------------------- #
 def sweep_span(stats) -> Span:
     """A leaf ``sweep`` span from a :class:`~repro.metrics.timing.SweepStats`."""
@@ -471,46 +437,6 @@ def sweep_span(stats) -> Span:
         },
         counters=counters,
     )
-
-
-def spans_from_timings(timings) -> list[Span]:
-    """Span tree equivalent of a :class:`~repro.metrics.timing.RunTimings`.
-
-    The fallback used for solvers that do not thread a live
-    :class:`Tracer`: every solver already fills ``RunTimings`` (stage
-    wall clocks plus per-sweep stats), which carries the same
-    information at stage granularity.
-    """
-    run = Span("run")
-    for stage in timings.stages:
-        level = Span(
-            "level",
-            attributes={
-                "level": stage.stage,
-                "num_vertices": stage.num_vertices,
-                "num_edges": stage.num_edges,
-            },
-            counters={"sweeps": stage.sweeps, "modularity": stage.modularity},
-            seconds=stage.total_seconds,
-        )
-        optimization = Span(
-            "optimization",
-            counters={
-                "sweeps": stage.sweeps,
-                "moved": sum(s.moved for s in stage.sweep_stats),
-                "gather_reuse_hits": stage.gather_reuse_hits,
-                "pair_reuse_hits": stage.pair_reuse_hits,
-                "pair_patch_hits": stage.pair_patch_hits,
-                "max_q_drift": stage.max_q_drift,
-            },
-            seconds=stage.optimization_seconds,
-            children=[sweep_span(s) for s in stage.sweep_stats],
-        )
-        aggregation = Span("aggregation", seconds=stage.aggregation_seconds)
-        level.children = [optimization, aggregation]
-        run.children.append(level)
-        run.seconds += stage.total_seconds
-    return [run]
 
 
 # --------------------------------------------------------------------- #
@@ -564,56 +490,6 @@ class RunReport:
         """Parse a report from a JSON string."""
         return cls.from_dict(json.loads(text))
 
-    def summary(self) -> str:
-        """Human-readable per-level table of the report."""
-        lines = []
-        meta_bits = [f"{k}={v}" for k, v in self.meta.items()]
-        if meta_bits:
-            lines.append("trace: " + "  ".join(meta_bits))
-        res_bits = [
-            f"{k}={v:.6f}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in self.result.items()
-            if not isinstance(v, list)
-        ]
-        if res_bits:
-            lines.append("result: " + "  ".join(res_bits))
-        rows = []
-        for root in self.spans:
-            for level in root.find("level"):
-                opt = level.find("optimization")
-                agg = level.find("aggregation")
-                opt_s = opt[0].seconds if opt else 0.0
-                agg_s = agg[0].seconds if agg else 0.0
-                opt_c = opt[0].counters if opt else {}
-                q = level.counters.get("modularity")
-                rows.append(
-                    (
-                        level.attributes.get("level", "-"),
-                        level.attributes.get("num_vertices", "-"),
-                        level.attributes.get("num_edges", "-"),
-                        int(opt_c.get("sweeps", 0)),
-                        int(opt_c.get("moved", 0)),
-                        int(opt_c.get("gather_reuse_hits", 0)),
-                        f"{opt_s * 1e3:.1f}",
-                        f"{agg_s * 1e3:.1f}",
-                        "-" if q is None else f"{q:.4f}",
-                    )
-                )
-        headers = (
-            "level", "n", "E", "sweeps", "moved",
-            "gather hits", "opt ms", "agg ms", "Q",
-        )
-        widths = [len(h) for h in headers]
-        str_rows = [[str(c) for c in row] for row in rows]
-        for cells in str_rows:
-            for i, cell in enumerate(cells):
-                widths[i] = max(widths[i], len(cell))
-        lines.append("  ".join(h.rjust(widths[i]) for i, h in enumerate(headers)))
-        lines.append("  ".join("-" * w for w in widths))
-        for cells in str_rows:
-            lines.append("  ".join(cells[i].rjust(widths[i]) for i in range(len(cells))))
-        return "\n".join(lines)
-
 
 def report_from_result(
     result,
@@ -625,16 +501,17 @@ def report_from_result(
 ) -> RunReport:
     """Build a :class:`RunReport` from a solver result.
 
-    ``spans`` (or a live ``tracer``'s roots) provide the trace tree;
-    when neither is given the tree is derived from ``result.timings``
-    via :func:`spans_from_timings`, which works for every solver.
-    Extra keyword arguments land in ``meta``.
+    ``spans`` (or a live ``tracer``'s roots) provide the trace tree — the
+    run's one record of per-level time.  Raises :class:`ValueError` when
+    neither is given.  Extra keyword arguments land in ``meta``.
     """
     if spans is None:
-        if tracer is not None and tracer.enabled and tracer.roots:
-            spans = list(tracer.roots)
-        else:
-            spans = spans_from_timings(result.timings)
+        if tracer is None or not tracer.enabled or not tracer.roots:
+            raise ValueError(
+                "report_from_result needs the run's spans or the tracer that "
+                "recorded them"
+            )
+        spans = list(tracer.roots)
     payload: dict[str, Any] = {
         "modularity": result.modularity,
         "num_communities": result.num_communities,

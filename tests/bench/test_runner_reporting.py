@@ -6,13 +6,14 @@ from repro.bench.reporting import banner, format_series, format_table, geometric
 from repro.bench.runner import (
     run_gpu,
     run_sequential,
-    stage_breakdown,
     table1_rows,
     threshold_grid,
     timed,
 )
 from repro.bench.suite import SUITE
 from repro.graph.generators import karate_club, lfr_like
+from repro.obs.analyze import level_metrics
+from repro.trace import RunReport, Tracer
 
 
 def test_timed_returns_result_and_seconds():
@@ -47,11 +48,13 @@ def test_table1_rows_subset():
     assert row.speedup > 0
     assert 0.8 < row.relative_modularity <= 1.1
     assert row.num_vertices > 0
-    # Rows carry the full solver results so benchmarks can emit traces.
+    # Rows carry the full solver results and their runs' span trees so
+    # benchmarks can emit traces.
     assert row.gpu_result is not None
     assert row.gpu_result.modularity == pytest.approx(row.gpu_modularity)
     assert row.seq_result is not None
     assert row.seq_result.modularity == pytest.approx(row.seq_modularity)
+    assert row.gpu_spans[0].find("level") and row.seq_spans[0].find("level")
 
 
 def test_suite_report_is_traced_and_keyed():
@@ -67,7 +70,7 @@ def test_suite_report_is_traced_and_keyed():
     assert meta["scale"] == 0.5
     for key, value in SUITE_GPU_DEFAULTS.items():
         assert meta[key] == value
-    # Live spans, not the timings fallback: sweep children exist.
+    # Live spans: sweep children exist.
     assert report.spans[0].find("sweep")
 
 
@@ -83,10 +86,16 @@ def test_threshold_grid_shape_and_ordering():
         assert len(cell.per_graph_seconds) == 1
 
 
-def test_stage_breakdown():
+@pytest.mark.parametrize("runner", [run_gpu, run_sequential], ids=["gpu", "seq"])
+def test_level_metrics_on_traced_runs(runner):
     g, _ = lfr_like(300, rng=1)
-    run = run_gpu(g)
-    rows = stage_breakdown(run.result)
+    tracer = Tracer()
+    run = runner(g, tracer=tracer)
+    rows = [
+        row
+        for row in level_metrics(RunReport(spans=tracer.roots))
+        if row.modularity is not None  # degenerate levels record no Q
+    ]
     assert len(rows) == run.levels
     assert rows[0].num_vertices == g.num_vertices
     assert all(r.optimization_seconds >= 0 for r in rows)

@@ -18,6 +18,7 @@ from repro.core.refine import count_disconnected
 from repro.graph.build import from_edges
 from repro.graph.generators import caveman, karate_club, social_network
 from repro.metrics.modularity import modularity
+from repro.stream import StreamSession
 
 
 # --------------------------------------------------------------------- #
@@ -92,6 +93,24 @@ def test_solver_engine_rejects_warm_start(karate):
         get_engine("seq").detect(
             karate, initial_communities=np.zeros(34, dtype=np.int64)
         )
+
+
+@pytest.mark.parametrize(
+    "name",
+    [*ALGO_NAMES, "seq", "plm", "lu", "coarse", "sort", "multigpu", "stream-exact"],
+)
+def test_final_modularity_is_the_last_levels(name):
+    """The last level computed Q on the final membership; it is reported as is."""
+    graph = social_network(200, 6, rng=2)
+    if name == "stream-exact":
+        session = StreamSession(graph, screening="exact", frontier_fraction_limit=1.0)
+        result = session.apply(add=([0, 5, 17], [150, 99, 3], None))
+        assert result.mode == "stream"
+        graph = session.graph
+    else:
+        result = get_engine(name).detect(graph)
+    assert result.modularity == result.modularity_per_level[-1]
+    assert result.modularity == modularity(graph, result.membership)
 
 
 # --------------------------------------------------------------------- #

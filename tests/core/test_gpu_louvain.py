@@ -91,7 +91,7 @@ def test_result_structure(karate):
     assert len(result.sweeps_per_level) == result.num_levels
     assert len(result.modularity_per_level) == result.num_levels
     assert result.level_sizes[0] == (34, 78)
-    assert len(result.timings.stages) == result.num_levels
+    assert len(result.sweep_stats) == result.num_levels
 
 
 def test_modularity_per_level_non_decreasing(karate):
@@ -168,7 +168,7 @@ def test_degenerate_identity_level_not_recorded():
     from repro.result import flatten_levels
 
     assert np.array_equal(flatten_levels(list(result.levels)), result.membership)
-    assert len(result.levels) == len(result.timings.stages)
+    assert len(result.levels) == len(result.sweep_stats)
     assert result.num_communities == 2
 
 

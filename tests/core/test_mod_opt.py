@@ -144,5 +144,5 @@ def test_static_sweeps_report_scored_vertices():
     u, v, w = karate_club().edge_list(unique=True)
     graph = from_edges(u, v, w, num_vertices=37)  # 3 isolated vertices
     out = gpu_louvain(graph)
-    first = out.timings.stages[0].sweep_stats[0]
+    first = out.sweep_stats[0][0]
     assert first.frontier_size == int(np.count_nonzero(graph.degrees > 0)) == 34

@@ -1,12 +1,9 @@
-"""Tests for repro.metrics.teps and repro.metrics.timing."""
-
-import time
+"""Tests for repro.metrics.teps."""
 
 import pytest
 
 from repro.graph.generators import ring
 from repro.metrics.teps import TepsResult, teps
-from repro.metrics.timing import RunTimings, StageTiming, Stopwatch
 
 
 def test_teps_counts_stored_edges_per_sweep():
@@ -30,43 +27,3 @@ def test_teps_zero_seconds():
 def test_teps_negative_sweeps_clamped():
     g = ring(5)
     assert teps(g, -1, 1.0).edges_traversed == 0
-
-
-def test_stage_timing_total():
-    s = StageTiming(stage=0, optimization_seconds=1.5, aggregation_seconds=0.5)
-    assert s.total_seconds == pytest.approx(2.0)
-
-
-def test_run_timings_aggregates():
-    run = RunTimings()
-    a = run.new_stage(10, 20)
-    a.optimization_seconds = 3.0
-    a.aggregation_seconds = 1.0
-    b = run.new_stage(5, 8)
-    b.optimization_seconds = 0.5
-    b.aggregation_seconds = 0.5
-    assert run.total_seconds == pytest.approx(5.0)
-    assert run.optimization_seconds == pytest.approx(3.5)
-    assert run.aggregation_seconds == pytest.approx(1.5)
-    assert run.optimization_fraction() == pytest.approx(0.7)
-
-
-def test_run_timings_stage_numbering():
-    run = RunTimings()
-    assert run.new_stage(1, 1).stage == 0
-    assert run.new_stage(1, 1).stage == 1
-
-
-def test_optimization_fraction_empty():
-    assert RunTimings().optimization_fraction() == 0.0
-
-
-def test_stopwatch_accumulates():
-    stage = StageTiming(stage=0)
-    with Stopwatch(stage, "optimization_seconds"):
-        time.sleep(0.01)
-    first = stage.optimization_seconds
-    assert first >= 0.009
-    with Stopwatch(stage, "optimization_seconds"):
-        time.sleep(0.01)
-    assert stage.optimization_seconds > first

@@ -15,6 +15,7 @@ from repro.graph.generators import (
 from repro.metrics.modularity import modularity
 from repro.metrics.quality import adjusted_rand_index
 from repro.seq.louvain import louvain, one_level
+from repro.trace import Tracer
 
 
 def test_karate_modularity(karate):
@@ -145,6 +146,8 @@ def test_weighted_equivalence_unit_weights(karate):
 
 
 def test_timings_populated(karate):
-    result = louvain(karate)
-    assert result.timings.total_seconds > 0
-    assert len(result.timings.stages) == result.num_levels
+    tracer = Tracer()
+    result = louvain(karate, tracer=tracer)
+    (run,) = tracer.roots
+    assert run.seconds > 0
+    assert len(run.find("level")) == result.num_levels

@@ -111,7 +111,7 @@ def test_sidecar_with_retired_use_sweep_plan_restores(tmp_path, value):
 
 
 def _sweep_records(result):
-    return [stats for stage in result.timings.stages for stats in stage.sweep_stats]
+    return [stats for level in result.sweep_stats for stats in level]
 
 
 def test_sidecar_with_retired_shard_mode_restores(tmp_path):

@@ -341,18 +341,25 @@ def test_detect_trace_report(karate_file, capsys, tmp_path):
     assert sweeps and all("moved" in s["counters"] for s in sweeps)
 
 
-def test_detect_trace_non_gpu_solver(karate_file, tmp_path):
+@pytest.mark.parametrize("solver", ["seq", "plm", "lu", "coarse", "sort", "multigpu"])
+def test_detect_trace_non_gpu_solver(solver, karate_file, tmp_path):
     import json
 
-    from repro.trace import validate_report
+    from repro.trace import RunReport, validate_report
 
     trace_path = tmp_path / "trace.json"
     assert main(
-        ["detect", karate_file, "--solver", "seq", "--trace", str(trace_path)]
+        ["detect", karate_file, "--solver", solver, "--trace", str(trace_path)]
     ) == 0
     data = json.loads(trace_path.read_text())
     assert validate_report(data) == []
-    assert data["meta"]["solver"] == "seq"
+    assert data["meta"]["solver"] == solver
+    # The solver records its levels live (multigpu nests its finishing run).
+    (run,) = RunReport.from_dict(data).spans
+    levels = [lv for lv in run.find("level") if not lv.attributes.get("degenerate")]
+    assert len(levels) == data["result"]["num_levels"]
+    for level in levels:
+        assert [c.name for c in level.children] == ["optimization", "aggregation"]
 
 
 def test_stream_trace_container(karate_file, capsys, tmp_path):

@@ -42,15 +42,8 @@ def test_trace_context_manager_mints_when_missing():
     assert current_trace_context() is None
 
 
-def test_child_extends_span_path():
-    ctx = TraceContext("tr-abc")
-    child = ctx.child("request").child("batch")
-    assert child.trace_id == "tr-abc"
-    assert child.span_path == "request/batch"
-
-
 def test_round_trips_pickle():
-    ctx = TraceContext("tr-abc", span_path="request")
+    ctx = TraceContext("tr-abc")
     assert pickle.loads(pickle.dumps(ctx)) == ctx
 
 
@@ -74,23 +67,22 @@ def test_tracer_records_closed_spans_into_flight():
     assert entries[1]["attributes"] == {"level": 0}
 
 
-def test_attached_and_event_spans_reach_flight():
+def test_attached_spans_reach_flight():
     from repro.trace import Span
 
     flight = FlightRecorder(1 << 16)
     tracer = Tracer(flight=flight, trace_id="tr-coord")
     with tracer.span("run"):
-        tracer.event("gather", seconds=0.05, counters={"hits": 3})
-        # A worker-built span carries its own trace id (wire format).
-        tracer.attach(Span("shard", attributes={"trace_id": "tr-wire"},
-                           seconds=0.2))
+        tracer.attach(Span("sweep", seconds=0.05, counters={"moved": 3}))
+        # A span's own trace_id attribute is only a label: the entry
+        # carries the tracer's id.
+        tracer.attach(Span("sweep", attributes={"trace_id": "tr-other"}))
 
     entries = flight.snapshot(kinds=("span",))["entries"]
-    by_name = {e["name"]: e for e in entries}
-    assert by_name["gather"]["path"] == "run/gather"
-    assert by_name["gather"]["trace_id"] == "tr-coord"
-    assert by_name["shard"]["path"] == "run/shard"
-    assert by_name["shard"]["trace_id"] == "tr-wire"  # span's own id wins
+    sweeps = [e for e in entries if e["name"] == "sweep"]
+    assert [e["path"] for e in sweeps] == ["run/sweep", "run/sweep"]
+    assert sweeps[0]["counters"] == {"moved": 3}
+    assert {e["trace_id"] for e in sweeps} == {"tr-coord"}
 
 
 def test_tracer_without_flight_is_unchanged():

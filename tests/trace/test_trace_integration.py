@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.gpu_louvain import gpu_louvain
 from repro.graph.generators import karate_club, planted_partition
+from repro.obs.analyze import stage_table
 from repro.stream import StreamSession
 from repro.trace import Tracer, report_from_result, validate_report
 
@@ -78,19 +79,17 @@ def test_report_from_live_tracer(medium_graph):
     assert report.meta["kind"] == "run"
     assert report.result["modularity"] == result.modularity
     assert report.spans[0].name == "run"
-    assert "level" in report.summary()
+    assert "level" in stage_table(report)
 
 
-def test_report_timings_fallback(medium_graph):
-    # No tracer: the span tree is synthesised from RunTimings, which
-    # every solver fills — same schema, stage granularity.
+def test_report_without_spans_raises(medium_graph):
+    # The span tree is the one record of per-level time: a report needs
+    # the spans (or the tracer that recorded them), never a reconstruction.
     result = gpu_louvain(medium_graph)
-    report = report_from_result(result, solver="gpu")
-    assert validate_report(report.to_dict()) == []
-    run = report.spans[0]
-    levels = run.find("level")
-    assert len(levels) == result.num_levels
-    assert [len(lv.find("sweep")) for lv in levels] == result.sweeps_per_level
+    with pytest.raises(ValueError, match="spans"):
+        report_from_result(result, solver="gpu")
+    with pytest.raises(ValueError, match="spans"):
+        report_from_result(result, tracer=Tracer(), solver="gpu")
 
 
 def test_stream_session_reports(medium_graph):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.obs.analyze import stage_table
 from repro.trace import (
     NULL_TRACER,
     TRACE_SCHEMA,
@@ -55,10 +56,10 @@ def test_tracer_current_annotate_count():
     tracer.count(y=2)
 
 
-def test_event_and_attach():
+def test_attach_appends_to_current_span():
     tracer = Tracer()
     with tracer.span("optimization"):
-        tracer.event("sweep", seconds=0.25, counters={"moved": 4})
+        tracer.attach(Span("sweep", counters={"moved": 4}, seconds=0.25))
         tracer.attach(Span("sweep", counters={"moved": 2}))
     opt = tracer.roots[0]
     assert [c.counters["moved"] for c in opt.children] == [4, 2]
@@ -90,7 +91,7 @@ def test_null_tracer_is_inert():
         span.set(a=1).count(b=2).add("c", 3)
         tracer.annotate(z=1)
         tracer.count(w=2)
-        tracer.event("sweep", counters={"moved": 1})
+        tracer.attach(Span("sweep", counters={"moved": 1}))
     assert tracer.roots == []
     assert tracer.current is None
     # The shared null span never accumulates state.
@@ -214,6 +215,6 @@ def test_summary_renders_missing_modularity_as_dash():
             )
         ],
     )
-    table = report.summary()
+    table = stage_table(report)
     assert "level" in table
     assert table.splitlines()[-1].strip().endswith("-")
