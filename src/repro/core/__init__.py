@@ -1,6 +1,11 @@
 """The paper's contribution: degree-bucketed, edge-parallel GPU Louvain."""
 
-from .aggregate import AggregationOutcome, aggregate_bincount, aggregate_gpu
+from .aggregate import (
+    AggregationOutcome,
+    LabelContraction,
+    aggregate_bincount,
+    aggregate_gpu,
+)
 from .buckets import Bucket, bucket_index, community_buckets, degree_buckets
 from .compute_move import (
     compute_moves_simulated,
@@ -55,6 +60,7 @@ __all__ = [
     "aggregate_gpu",
     "aggregate_bincount",
     "AggregationOutcome",
+    "LabelContraction",
     "compute_moves_vectorized",
     "compute_moves_simulated",
     "segment_sort_order",

@@ -35,7 +35,12 @@ from ..trace import NullTracer, Tracer, as_tracer
 from .buckets import community_buckets
 from .config import GPULouvainConfig
 
-__all__ = ["AggregationOutcome", "aggregate_gpu", "aggregate_bincount"]
+__all__ = [
+    "AggregationOutcome",
+    "LabelContraction",
+    "aggregate_gpu",
+    "aggregate_bincount",
+]
 
 #: Dense-table cap for :func:`aggregate_bincount`: fall back to the
 #: hash-based path once ``num_new**2`` exceeds both a multiple of the
@@ -242,10 +247,8 @@ def aggregate_bincount(
     if config.engine == "simulated" or n == 0:
         return aggregate_gpu(graph, comm, config, tracer=tracer)
 
-    com_size = np.bincount(comm, minlength=n)
-    new_id = exclusive_scan((com_size > 0).astype(np.int64))[:-1]
+    new_id, num_new = _dense_labels(comm, n)
     dense = new_id[comm]
-    num_new = int(new_id[-1]) + int(com_size[-1] > 0) if n else 0
     table = num_new * num_new
     if num_new == 0 or table > max(4 * graph.num_stored_edges, _BINCOUNT_TABLE_FLOOR):
         return aggregate_gpu(graph, comm, config, tracer=tracer)
@@ -259,19 +262,230 @@ def aggregate_bincount(
     return outcome
 
 
-def _bincount_contract(
+def _dense_histogram(
     graph: CSRGraph, dense: np.ndarray, num_new: int, table: int
-) -> AggregationOutcome:
-    """:func:`aggregate_bincount` dense-histogram core."""
-    profile = PhaseProfile()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Present ``dense[u] * num_new + dense[v]`` keys with their entry
+    counts and weight sums (summed in storage order)."""
     key = dense[graph.vertex_of_edge] * np.int64(num_new) + dense[graph.indices]
     counts = np.bincount(key, minlength=table)
     sums = np.bincount(key, weights=graph.weights, minlength=table)
     present = np.flatnonzero(counts)
+    return present, counts[present], sums[present]
+
+
+def _bincount_contract(
+    graph: CSRGraph, dense: np.ndarray, num_new: int, table: int
+) -> AggregationOutcome:
+    """:func:`aggregate_bincount` dense-histogram core."""
+    present, _, sums = _dense_histogram(graph, dense, num_new, table)
     new_u = present // num_new
     new_v = present % num_new
-    contracted = from_directed_entries(new_u, new_v, sums[present], num_new)
-    return AggregationOutcome(contracted, dense, profile)
+    contracted = from_directed_entries(new_u, new_v, sums, num_new)
+    return AggregationOutcome(contracted, dense, PhaseProfile())
+
+
+def _dense_labels(labels: np.ndarray, n: int) -> tuple[np.ndarray, int]:
+    """``newID`` of every label (consecutive over the non-empty ones) and
+    their count — the renumbering of Alg. 3 task (ii)."""
+    com_size = np.bincount(labels, minlength=n)
+    new_id = exclusive_scan((com_size > 0).astype(np.int64))[:-1]
+    num_new = int(new_id[-1]) + int(com_size[-1] > 0) if n else 0
+    return new_id, num_new
+
+
+@dataclass
+class LabelContraction:
+    """A graph's contraction by a labelling, keyed by label pairs.
+
+    One entry per label pair ``(a, b)`` that a stored entry ``(u, v)``
+    maps to (``a = labels[u]``, ``b = labels[v]``): sorted unique
+    ``keys = a * width + b``, the summed ``weights`` and the ``counts``
+    of stored entries.  A positive count keeps a zero-weight entry
+    present, exactly as the ``counts > 0`` rule of
+    :func:`aggregate_bincount` does.
+
+    A stream session carries one across batches (DESIGN.md §8):
+    :meth:`add` applies a delta — a batch's changed pairs, or a set of
+    movers' rows via :meth:`move` — in time proportional to the delta,
+    and :meth:`contract` turns it into the :class:`AggregationOutcome`
+    that :func:`aggregate_bincount` would return.  The patched weights
+    equal a fresh contraction's only when every partial sum is exact,
+    so the session keeps one only under
+    :attr:`~repro.graph.csr.CSRGraph.integral_weights`.
+    """
+
+    width: int
+    keys: np.ndarray
+    weights: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def empty(cls, width: int) -> "LabelContraction":
+        """A contraction with no entries."""
+        return cls(
+            width,
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+            np.empty(0, dtype=np.int64),
+        )
+
+    @classmethod
+    def of(cls, graph: CSRGraph, labels: np.ndarray) -> "LabelContraction":
+        """Contract ``graph`` by ``labels`` afresh: one O(E) pass."""
+        n = graph.num_vertices
+        new_id, num_new = _dense_labels(labels, n)
+        table = num_new * num_new
+        if table <= max(4 * graph.num_stored_edges, _BINCOUNT_TABLE_FLOOR):
+            present, counts, weights = _dense_histogram(
+                graph, new_id[labels], num_new, table
+            )
+            label_of = np.flatnonzero(np.bincount(labels, minlength=n))
+            keys = label_of[present // num_new] * n + label_of[present % num_new]
+            return cls(n, keys, weights, counts)
+        out = cls.empty(n)
+        key = labels[graph.vertex_of_edge] * np.int64(n) + labels[graph.indices]
+        out.add(key, graph.weights, np.ones(key.size, dtype=np.int64))
+        return out
+
+    def add(self, keys: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> None:
+        """Add per-entry weight and count deltas; keys may repeat or be new."""
+        keys, inverse = np.unique(keys, return_inverse=True)
+        weights = np.bincount(inverse, weights=weights, minlength=keys.size)
+        counts = np.bincount(inverse, weights=counts, minlength=keys.size).astype(
+            np.int64
+        )
+        pos = np.searchsorted(self.keys, keys)
+        hit = pos < self.keys.size
+        hit[hit] = self.keys[pos[hit]] == keys[hit]
+        self.weights[pos[hit]] += weights[hit]
+        self.counts[pos[hit]] += counts[hit]
+        new = ~hit
+        if new.any():
+            at = pos[new]
+            self.keys = np.insert(self.keys, at, keys[new])
+            self.weights = np.insert(self.weights, at, weights[new])
+            self.counts = np.insert(self.counts, at, counts[new])
+
+    def add_pairs(
+        self,
+        labels: np.ndarray,
+        u: np.ndarray,
+        v: np.ndarray,
+        weight_change: np.ndarray,
+        count_change: np.ndarray,
+    ) -> None:
+        """Patch by changed undirected pairs ``(u[i], v[i])``.
+
+        ``weight_change`` and ``count_change`` apply to each stored
+        direction of a pair (a self-loop is stored once).
+        """
+        nl = u != v
+        a = labels[u]
+        b = labels[v]
+        self.add(
+            np.concatenate((a * self.width + b, (b * self.width + a)[nl])),
+            np.concatenate((weight_change, weight_change[nl])),
+            np.concatenate((count_change, count_change[nl])),
+        )
+
+    def move(
+        self,
+        graph: CSRGraph,
+        before: np.ndarray,
+        after: np.ndarray,
+        movers: np.ndarray,
+    ) -> None:
+        """Re-key the movers' entries from labels ``before`` to ``after``.
+
+        Touches each mover's row plus the reverse direction of every
+        entry whose other end did not move (a mover-mover entry is in
+        both rows already): O(movers' rows).
+        """
+        pos, which = gather_rows(graph.indptr, movers)
+        s = movers[which]
+        d = graph.indices[pos]
+        w = graph.weights[pos]
+        moved = np.zeros(graph.num_vertices, dtype=bool)
+        moved[movers] = True
+        rev = ~moved[d]
+        s_rev = s[rev]
+        d_rev = d[rev]
+        w_rev = w[rev]
+        width = self.width
+        keys = np.concatenate(
+            (
+                before[s] * width + before[d],
+                before[d_rev] * width + before[s_rev],
+                after[s] * width + after[d],
+                after[d_rev] * width + after[s_rev],
+            )
+        )
+        half = s.size + s_rev.size
+        self.add(
+            keys,
+            np.concatenate((-w, -w_rev, w, w_rev)),
+            np.concatenate(
+                (np.full(half, -1, dtype=np.int64), np.ones(half, dtype=np.int64))
+            ),
+        )
+
+    def relabel(self, mapping: np.ndarray) -> "LabelContraction":
+        """The same contraction keyed by ``mapping[label]`` (colliding
+        entries merge; entries with no stored edge left are dropped)."""
+        live = self.counts > 0
+        keys = self.keys[live]
+        out = LabelContraction.empty(self.width)
+        out.add(
+            mapping[keys // self.width] * self.width + mapping[keys % self.width],
+            self.weights[live],
+            self.counts[live],
+        )
+        return out
+
+    def internal_weight(self) -> float:
+        """Total weight of the entries inside one label (``a == b``)."""
+        diagonal = self.keys // self.width == self.keys % self.width
+        return float(self.weights[diagonal].sum())
+
+    def contract(
+        self,
+        graph: CSRGraph,
+        labels: np.ndarray,
+        *,
+        tracer: Tracer | NullTracer | None = None,
+    ) -> AggregationOutcome:
+        """What :func:`aggregate_bincount` returns for ``(graph, labels)``.
+
+        ``labels`` must be the labelling this contraction is keyed by.
+        Costs O(n + entries) — no edge of ``graph`` is read.  With a
+        live ``tracer`` it is recorded as an ``aggregation`` span with
+        ``path="carried"``.
+        """
+        tracer = as_tracer(tracer)
+        if not tracer.enabled:
+            return self._contract(graph, labels)
+        with tracer.span("aggregation", path="carried") as span:
+            outcome = self._contract(graph, labels)
+            _annotate_aggregation(span, graph, outcome)
+        return outcome
+
+    def _contract(self, graph: CSRGraph, labels: np.ndarray) -> AggregationOutcome:
+        """:meth:`contract` body."""
+        new_id, num_new = _dense_labels(labels, graph.num_vertices)
+        live = self.counts > 0
+        keys = self.keys[live]
+        # Keys are sorted by (a, b) and newID is increasing, so the
+        # entries are already in CSR order.
+        new_u = new_id[keys // self.width]
+        indptr = np.zeros(num_new + 1, dtype=np.int64)
+        np.cumsum(np.bincount(new_u, minlength=num_new), out=indptr[1:])
+        contracted = CSRGraph(
+            indptr=indptr,
+            indices=new_id[keys % self.width],
+            weights=self.weights[live],
+        )
+        return AggregationOutcome(contracted, new_id[labels], PhaseProfile())
 
 
 def _members_of(

@@ -22,8 +22,11 @@ modularity is tracked *incrementally*: per-bucket commits telescope, so
 one pass over the sweep's movers' CSR rows (:func:`_sweep_internal_delta`)
 updates the internal edge weight instead of re-scanning every edge.  An
 exact recompute runs every ``config.exact_q_interval`` sweeps and at phase
-end to bound float drift; the final reported Q always comes from the exact
-recompute.
+end to bound float drift, so the reported Q is always exact.  When every
+weight is integral and ``2m <= 2^52``
+(:attr:`~repro.graph.csr.CSRGraph.integral_weights`) the tracked internal
+weight is itself exact, so the phase-end Q is computed from it with an
+O(n) volume recount and no edge scan.
 """
 
 from __future__ import annotations
@@ -268,6 +271,7 @@ def frontier_modularity_optimization(
     frontier: np.ndarray,
     screening: str = "local",
     expansion: str = "community",
+    internal_weight: float | None = None,
     tracer: Tracer | NullTracer | None = None,
 ) -> FrontierOutcome:
     """Run Alg. 1 restricted to an affected-vertex frontier (delta-screening).
@@ -315,6 +319,13 @@ def frontier_modularity_optimization(
     ``frontier_size`` observability via :class:`SweepStats`; a live
     ``tracer`` additionally records an ``optimization`` span (attributes
     ``screening`` / ``expansion``) with one ``sweep`` child per sweep.
+
+    ``internal_weight`` is the total weight of the stored entries whose
+    endpoints share an ``initial_communities`` label, when the caller
+    already knows it exactly (a stream session reads it off its carried
+    contraction); it replaces the phase's first full edge scan.  Pass it
+    only when :attr:`~repro.graph.csr.CSRGraph.integral_weights` holds,
+    so it equals that scan bit for bit.
     """
     if config.engine == "simulated":
         raise ValueError("frontier optimization requires the vectorized engine")
@@ -340,7 +351,8 @@ def frontier_modularity_optimization(
     with tracer.span("optimization", screening=screening, expansion=expansion) as span:
         phase = _sweep_loop(
             graph, config, threshold, initial_communities,
-            active=active, exact=screening == "exact", expansion=expansion, tracer=tracer,
+            active=active, exact=screening == "exact", expansion=expansion,
+            internal=internal_weight, tracer=tracer,
         )
         scored_total = sum(s.frontier_size for s in phase.profile.sweeps)
         outcome = FrontierOutcome(
@@ -362,6 +374,7 @@ def _sweep_loop(
     active: np.ndarray | None = None,
     exact: bool = False,
     expansion: str = "community",
+    internal: float | None = None,
     cost_model: CostModel | None = None,
     tracer: Tracer | NullTracer,
 ) -> OptimizationOutcome:
@@ -380,7 +393,8 @@ def _sweep_loop(
 
     The simulated engine and the relaxed ablation take the
     non-incremental branch: no plan validity tracking, and an exact Q
-    every sweep.
+    every sweep.  ``internal`` seeds the starting internal weight (see
+    :func:`frontier_modularity_optimization`).
     """
     n = graph.num_vertices
     k = graph.weighted_degrees
@@ -407,10 +421,12 @@ def _sweep_loop(
         vbucket = bucket_index(graph.degrees, config.degree_bucket_bounds)
         bucket_masks = [vbucket == bucket.index for bucket in buckets]
 
-    src = graph.vertex_of_edge
     dst = graph.indices
     w = graph.weights
-    edges_view = (src, dst, w)
+
+    def internal_scan() -> float:
+        """Exact internal weight of ``comm``: one pass over every edge."""
+        return float(w[comm[graph.vertex_of_edge] == comm[dst]].sum())
 
     volumes = np.bincount(comm, weights=k, minlength=n)
     sizes = np.bincount(comm, minlength=n)
@@ -438,9 +454,10 @@ def _sweep_loop(
             # the incremental commit keeps it in sync.
             plan.bind_communities(comm)
 
-    # One edge scan serves both the baseline Q and the incremental
-    # tracker's seed.
-    internal = float(w[comm[src] == comm[dst]].sum())
+    # One edge scan (unless the caller seeded it) serves both the
+    # baseline Q and the incremental tracker's seed.
+    if internal is None:
+        internal = internal_scan()
     q = internal / two_m - config.resolution * float(np.square(volumes).sum()) / (two_m * two_m)
     sweeps = 0
     trace_on = tracer.enabled
@@ -546,7 +563,7 @@ def _sweep_loop(
                 # fresh exact scan is both cheaper and drift-free.
                 mover_edges = int(graph.degrees[movers_sweep].sum())
                 if _DELTA_EDGE_FACTOR * mover_edges >= dst.size:
-                    internal = float(w[comm[src] == comm[dst]].sum())
+                    internal = internal_scan()
                 else:
                     internal += _sweep_internal_delta(
                         graph, comm_before, comm, movers_sweep, plan.mover_scratch
@@ -559,11 +576,11 @@ def _sweep_loop(
             if sweeps % config.exact_q_interval == 0:
                 # Snap the tracker so drift cannot compound across
                 # recompute windows; the one edge scan serves the exact Q.
-                internal = float(w[comm[src] == comm[dst]].sum())
+                internal = internal_scan()
                 new_q = _modularity_from(internal, comm, k, two_m, config.resolution)
                 sweep_stats.q_exact = new_q
         else:
-            new_q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
+            new_q = _modularity_from(internal_scan(), comm, k, two_m, config.resolution)
             sweep_stats.q_incremental = new_q
             sweep_stats.q_exact = new_q
         profile.add_sweep(sweep_stats)
@@ -575,9 +592,12 @@ def _sweep_loop(
             break
 
     if incremental and profile.sweeps and profile.sweeps[-1].q_exact is None:
-        # Final reported Q must come from the exact recompute (and the
-        # last sweep's drift becomes observable).
-        q = _partition_modularity(comm, edges_view, k, two_m, config.resolution)
+        # Final reported Q must be exact (and the last sweep's drift
+        # observable).  Under integral weights the tracked internal
+        # weight is exact already, so only the volumes are recounted.
+        if not plan.integral_weights:
+            internal = internal_scan()
+        q = _modularity_from(internal, comm, k, two_m, config.resolution)
         profile.sweeps[-1].q_exact = q
 
     if trace_on:

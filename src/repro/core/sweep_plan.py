@@ -506,11 +506,9 @@ class SweepPlan:
         # Integral weights make float64 summation order-independent
         # (every partial sum is an exact integer below 2^53), which is
         # what licenses the in-place pair patching of refresh_pairs.
-        w_all = graph.weights
-        integral = bool(
-            w_all.size == 0
-            or (np.all(w_all == np.rint(w_all)) and float(w_all.sum()) <= 2.0**52)
-        )
+        # The graph computes the flag once; a patched stream graph
+        # carries it from its predecessor.
+        integral = graph.integral_weights
         plans = [
             cls._bucket_plan(graph, bucket, n, k, integral) for bucket in buckets
         ]

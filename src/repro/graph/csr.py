@@ -28,7 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "EXACT_SUM_LIMIT"]
+
+#: Largest total weight under which integral weights sum exactly in
+#: float64 in any order: every partial sum is an integer below 2^53.
+EXACT_SUM_LIMIT = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,12 @@ class CSRGraph:
         vertex ids), one entry per stored direction.
     weights:
         ``float64`` array parallel to ``indices``.
+
+    Derived values (``vertex_of_edge``, ``num_edges``, ``weighted_degrees``,
+    ``total_weight``, ``canonical``, ``integral_weights``) are computed on
+    first use and cached; :func:`~repro.graph.build.apply_edge_batch`
+    hands them to the patched graph through :meth:`trusted` instead of
+    recomputing them over every edge.
     """
 
     indptr: np.ndarray
@@ -78,6 +88,33 @@ class CSRGraph:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_degrees", np.diff(indptr))
 
+    @classmethod
+    def trusted(
+        cls, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray, **cached
+    ) -> "CSRGraph":
+        """A graph from arrays the caller guarantees valid, skipping validation.
+
+        No O(E) check runs: the arrays must already be contiguous
+        ``int64``/``int64``/``float64`` and satisfy every invariant
+        ``__init__`` checks.  ``cached`` pre-fills derived values by name
+        (``vertex_of_edge``, ``num_edges``, ``weighted_degrees``,
+        ``total_weight``, ``canonical``, ``integral_weights``); each must
+        equal what the property would compute.  ``None`` leaves one lazy.
+        """
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "indptr", indptr)
+        object.__setattr__(graph, "indices", indices)
+        object.__setattr__(graph, "weights", weights)
+        object.__setattr__(graph, "_degrees", np.diff(indptr))
+        for name, value in cached.items():
+            if value is not None:
+                object.__setattr__(graph, "_" + name, value)
+        return graph
+
+    def cached(self, name: str):
+        """The cached derived value ``name``, or ``None`` if not computed yet."""
+        return self.__dict__.get("_" + name)
+
     # ------------------------------------------------------------------ #
     # Basic size queries
     # ------------------------------------------------------------------ #
@@ -106,7 +143,7 @@ class CSRGraph:
         """Structural degree of each vertex (row length; self-loop counts 1)."""
         return self._degrees
 
-    # The O(V+E) derived quantities (``num_edges`` above and the three
+    # The O(V+E) derived quantities (``num_edges`` above and the five
     # below) are cached on first use: instances are immutable (algorithms
     # build new graphs, never mutate), and the hot paths — compute_moves
     # reads ``m`` per bucket, the sweep plans read ``weighted_degrees``
@@ -147,6 +184,45 @@ class CSRGraph:
         if cached is None:
             cached = float(self.weights.sum())
             object.__setattr__(self, "_total_weight", cached)
+        return cached
+
+    @property
+    def canonical(self) -> bool:
+        """Rows sorted strictly by neighbour id: no parallel stored entries.
+
+        What :func:`~repro.graph.build.from_edges` produces and what the
+        row-local searches of :mod:`repro.graph.build` require (cached).
+        """
+        cached = self.__dict__.get("_canonical")
+        if cached is None:
+            indices = self.indices
+            rising = indices[1:] > indices[:-1]
+            # A row start may step down; only steps inside a row count.
+            starts = self.indptr[1:-1]
+            starts = starts[(starts > 0) & (starts < indices.size)]
+            rising[starts - 1] = True
+            cached = bool(rising.all())
+            object.__setattr__(self, "_canonical", cached)
+        return cached
+
+    @property
+    def integral_weights(self) -> bool:
+        """Every weight is an integer and ``2m`` is at most :data:`EXACT_SUM_LIMIT`.
+
+        Then every float64 sum of stored weights is an exact integer,
+        whatever the summation order, which licenses the shortcuts that
+        rely on exact sums: sweep-plan pair patching, the tracked
+        modularity of :mod:`repro.core.mod_opt` and the carried
+        contraction of :class:`~repro.stream.StreamSession` (cached).
+        """
+        cached = self.__dict__.get("_integral_weights")
+        if cached is None:
+            w = self.weights
+            cached = bool(
+                w.size == 0
+                or (np.all(w == np.rint(w)) and self.total_weight <= EXACT_SUM_LIMIT)
+            )
+            object.__setattr__(self, "_integral_weights", cached)
         return cached
 
     @property
@@ -225,3 +301,4 @@ class CSRGraph:
             f"CSRGraph(num_vertices={self.num_vertices}, "
             f"num_edges={self.num_edges}, total_weight={self.total_weight:g})"
         )
+

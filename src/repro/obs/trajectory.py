@@ -144,7 +144,7 @@ def _report_metrics(report: RunReport) -> dict[str, float]:
     total = sum(span.seconds for span in report.spans)
     opt = agg = 0.0
     sweeps = 0.0
-    level0_mteps = 0.0
+    level0_mteps = None
     for root in report.spans:
         for level in root.find("level"):
             for child in level.children:
@@ -153,7 +153,10 @@ def _report_metrics(report: RunReport) -> dict[str, float]:
                     sweeps += child.counters.get("sweeps", 0)
                 elif child.name == "aggregation":
                     agg += child.seconds
-            if level.attributes.get("level") == 0:
+            # The first level 0 in tree order is the run's own: a nested
+            # finishing run (multigpu) or repair pass (leiden) comes later.
+            if level.attributes.get("level") == 0 and level0_mteps is None:
+                level0_mteps = 0.0
                 opt0 = next(
                     (c for c in level.children if c.name == "optimization"), None
                 )
@@ -168,7 +171,7 @@ def _report_metrics(report: RunReport) -> dict[str, float]:
         "optimization_seconds": opt,
         "aggregation_seconds": agg,
         "sweeps": sweeps,
-        "level0_mteps": level0_mteps,
+        "level0_mteps": level0_mteps or 0.0,
     }
     for name in ("modularity", "num_communities", "num_levels"):
         value = report.result.get(name)

@@ -57,6 +57,9 @@ def coarse_louvain(
     edge-cut partitioning).  ``tracer`` records ``run`` → ``level`` →
     ``optimization``/``aggregation`` spans; level 0's optimization is
     the independent per-part phase and its aggregation the merge.
+    Level 0's sweep count is the maximum over the parts — the depth of
+    the parallel phase, since the parts sweep side by side — both in
+    ``sweeps_per_level[0]`` and on its level and optimization spans.
     """
     n = graph.num_vertices
     if parts is None:
@@ -78,7 +81,8 @@ def coarse_louvain(
         ) as level_span:
             # Phase A: independent optimization inside each part.
             local_comm = np.arange(n, dtype=np.int64)
-            with tracer.span("optimization"):
+            phase_sweeps = 0
+            with tracer.span("optimization") as opt_span:
                 for p in range(int(parts.max()) + 1 if n else 0):
                     members = np.flatnonzero(parts == p)
                     if members.size == 0:
@@ -89,6 +93,8 @@ def coarse_louvain(
                     # ids) back to global vertex ids so all parts stay
                     # disjoint.
                     local_comm[members] = members[outcome.communities]
+                    phase_sweeps = max(phase_sweeps, outcome.sweeps)
+                opt_span.count(sweeps=phase_sweeps)
 
             # Phase B: merge — contract by the union of local solutions,
             # then run fine-grained Louvain levels to completion on the
@@ -96,10 +102,10 @@ def coarse_louvain(
             with tracer.span("aggregation"):
                 contracted, dense = aggregate_vectorized(graph, local_comm)
             levels.append(dense)
-            sweeps_per_level.append(0)
+            sweeps_per_level.append(phase_sweeps)
             q = modularity(graph, flatten_levels(levels))
             modularity_per_level.append(q)
-            level_span.count(sweeps=0, modularity=q)
+            level_span.count(sweeps=phase_sweeps, modularity=q)
         prev_q = q
         current = contracted
 

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.build import _canonical_batch_adds, _canonical_batch_removes
+from ..graph.build import _canonical_batch_adds, _canonical_batch_removes, find_entries
 from ..graph.csr import CSRGraph
 
 __all__ = ["BatchCoalescer"]
@@ -74,24 +74,34 @@ class BatchCoalescer:
     """
 
     def __init__(self, graph: CSRGraph) -> None:
-        n = graph.num_vertices
-        self._n = n
-        # Both directions are stored, so pair (lo, hi) exists iff the
-        # canonical key lo*n + hi is among the stored keys — sorted for
-        # canonical graphs, enabling binary search.
-        self._stored = graph.vertex_of_edge * np.int64(max(n, 1)) + graph.indices
+        self._graph = graph
+        self._n = graph.num_vertices
         self._state: dict[int, list] = {}
+        # Base-graph existence of every pair key seen so far.
+        self._base: dict[int, bool] = {}
         self.requests = 0
 
     @property
     def pairs_touched(self) -> int:
         return len(self._state)
 
+    def _look_up(self, keys: np.ndarray) -> None:
+        """Resolve the base-graph existence of keys not seen before.
+
+        One row-local search per batch
+        (:func:`~repro.graph.build.find_entries`): O(keys log degree),
+        nothing per stored entry.
+        """
+        unseen = np.asarray(
+            [key for key in keys.tolist() if key not in self._base], dtype=np.int64
+        )
+        if unseen.size:
+            _, found = find_entries(self._graph, unseen // self._n, unseen % self._n)
+            self._base.update(zip(unseen.tolist(), found.tolist()))
+
     def _base_exists(self, key: int) -> bool:
-        """Whether the pair exists in the base graph."""
-        stored = self._stored
-        i = int(np.searchsorted(stored, key))
-        return i < stored.size and int(stored[i]) == key
+        """Whether the pair exists in the base graph (looked up already)."""
+        return self._base[key]
 
     def _get(self, key: int) -> list:
         state = self._state.get(key)
@@ -120,6 +130,7 @@ class BatchCoalescer:
             else (empty, np.empty(0, dtype=np.float64))
         )
         rkey = _canonical_batch_removes(remove, n) if remove is not None else empty
+        self._look_up(np.concatenate((akey, rkey)))
 
         # Validate every removal against the pre-batch state before any
         # mutation (apply_edge_batch requires existence at batch start,

@@ -125,3 +125,35 @@ def test_keys_and_latest(tmp_path):
     assert store.keys() == [("g", "vectorized", "abc"), ("h", "vectorized", "abc")]
     latest = store.latest()
     assert latest[("g", "vectorized", "abc")].timestamp == 2.0
+
+
+def test_level0_mteps_keeps_the_first_level_zero(tmp_path):
+    """A multigpu trace holds the device phase's level 0 and, later in
+    tree order, the nested finishing run's level 0: the metric is the
+    first one's."""
+    from repro.cli import main
+    from repro.obs.trajectory import _report_metrics
+    from repro.trace import RunReport
+
+    graph_path = tmp_path / "g.txt"
+    trace_path = tmp_path / "trace.json"
+    assert main(["generate", "social", "-n", "600", "-m", "6", "-o", str(graph_path)]) == 0
+    assert main(
+        ["detect", str(graph_path), "--solver", "multigpu", "--trace", str(trace_path)]
+    ) == 0
+    report = RunReport.from_dict(json.loads(trace_path.read_text()))
+
+    def mteps(level):
+        opt = next(c for c in level.children if c.name == "optimization")
+        edges = level.attributes["num_edges"]
+        return 2.0 * edges * opt.counters["sweeps"] / opt.seconds / 1e6
+
+    zeros = [
+        level
+        for root in report.spans
+        for level in root.find("level")
+        if level.attributes.get("level") == 0
+    ]
+    assert len(zeros) >= 2
+    assert mteps(zeros[0]) != mteps(zeros[-1])
+    assert _report_metrics(report)["level0_mteps"] == mteps(zeros[0])

@@ -141,3 +141,35 @@ def test_vector_aggregate_matches_oracle(data):
     seq_graph, seq_dense = seq_aggregate(graph, labels)
     assert fast_graph == seq_graph
     assert np.array_equal(fast_dense, seq_dense)
+
+
+def test_coarse_level0_reports_its_sweeps():
+    """Level 0's per-part phase reports its depth: the most sweeps any
+    part ran, in the result and on the traced level and optimization."""
+    from repro.core.config import GPULouvainConfig
+    from repro.core.mod_opt import modularity_optimization
+    from repro.graph.build import induced_subgraph
+    from repro.obs.analyze import level_metrics
+    from repro.trace import RunReport, Tracer
+
+    g, _ = caveman(6, 8)
+    parts = random_parts(g.num_vertices, 3, 0)
+    tracer = Tracer()
+    result = coarse_louvain(g, parts=parts, tracer=tracer)
+    config = GPULouvainConfig(threshold_final=1e-6, threshold_bin=1e-2)
+    expected = max(
+        modularity_optimization(
+            induced_subgraph(g, np.flatnonzero(parts == p)), config, 1e-6
+        ).sweeps
+        for p in range(3)
+    )
+    assert expected > 0
+    assert result.sweeps_per_level[0] == expected
+    level0 = level_metrics(RunReport(spans=tracer.roots))[0]
+    assert level0.level == 0
+    assert level0.sweeps == expected
+    assert level0.mteps > 0
+    (level_span,) = [
+        lv for lv in tracer.roots[0].find("level") if lv.attributes["level"] == 0
+    ]
+    assert level_span.counters["sweeps"] == expected
