@@ -6,11 +6,14 @@ documented lifecycle over the wire with :class:`repro.serve.ServeClient`:
 
 1. create two named sessions (generated graphs, exact screening),
 2. stream interleaved edge batches into both,
-3. partition queries (community_of / members / top-k),
+3. partition queries (community_of / members / top-k) — each answer
+   names the ``batch`` it was read at, which includes every write
+   acknowledged before the query was sent,
 4. RunReport retrieval with the config fingerprint,
 5. snapshot + evict, then a query that transparently restores,
 6. error-code checks (404 / 409 / 400 paths) — every error response
-   carries an ``X-Repro-Cid`` header the client surfaces,
+   carries an ``X-Repro-Cid`` header the client surfaces — and a
+   ``Content-Length`` over the cap answered 413 before its body is read,
 7. /v1/metrics scrape — required series present with sane values, and
    slow-path histograms carry ``# {...}`` exemplars with trace ids,
 8. /v1/debug/flight returns a validating ``repro.flight/1`` snapshot,
@@ -28,6 +31,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import tempfile
@@ -39,6 +43,7 @@ sys.path.insert(0, str(REPO / "src"))
 from repro.obs.flight import stitch_spans, validate_flight  # noqa: E402
 from repro.obs.logs import validate_log_line  # noqa: E402
 from repro.serve import ServeClient, ServeError  # noqa: E402
+from repro.serve.server import MAX_BODY_BYTES  # noqa: E402
 
 #: Series the scrape must expose after the mixed workload above.
 REQUIRED_SERIES = (
@@ -158,17 +163,28 @@ def main() -> int:
         print(f"streamed 3 batches each: left Q={a['modularity']:.4f}, "
               f"right Q={b['modularity']:.4f}")
 
-        # 3. queries
-        community = client.community_of("left", 0)
-        members = client.members("left", community)
+        # 3. queries, each answered at a batch no older than the last
+        #    acknowledged write
+        def read(name: str, verb: str, **params) -> dict:
+            return client.request("GET", f"/sessions/{name}/{verb}",
+                                  params=params)
+
+        answers = [(read("left", "community", vertex=0), a)]
+        community = answers[0][0]["community"]
+        answers.append((read("left", "members", community=community), a))
+        answers.append((read("left", "top", k=3, by="size"), a))
+        answers.append((read("right", "top", k=2, by="volume"), b))
+        for answer, write in answers:
+            assert answer["batch"] >= write["batch"], (answer, write)
+        members = answers[1][0]["members"]
         assert 0 in members
-        top = client.top("left", 3, by="size")
+        top = answers[2][0]["communities"]
         assert len(top) == 3 and top[0]["size"] >= top[-1]["size"]
-        volume_top = client.top("right", 2, by="volume")
-        assert len(volume_top) == 2
+        assert len(answers[3][0]["communities"]) == 2
         print(f"queries ok: v0 in community {community} "
               f"({len(members)} members); top sizes "
-              f"{[t['size'] for t in top]}")
+              f"{[t['size'] for t in top]}; read at batches "
+              f"{[answer['batch'] for answer, _ in answers]}")
 
         # 4. reports carry the config fingerprint
         report = client.report("left", which="last")["report"]
@@ -184,6 +200,8 @@ def main() -> int:
         client.evict("left")
         rows = {r["name"]: r["resident"] for r in client.list_sessions()}
         assert rows == {"left": False, "right": True}
+        restored = read("left", "community", vertex=0)  # restores, locked
+        assert restored["batch"] == a["batch"], restored
         after = [client.community_of("left", v) for v in range(60)]
         assert before == after, "restore changed the partition"
         stats = client.stats()
@@ -203,6 +221,17 @@ def main() -> int:
                      lambda: client.community_of("left", 10 ** 9))
         expect_error("invalid_batch",
                      lambda: client.batch("left", remove=([0], [59])))
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as raw:
+            raw.sendall(b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1))
+            reply = b""
+            while chunk := raw.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 "), head
+        assert json.loads(body)["error"]["code"] == "body_too_large", body
+        assert client.health()["ok"], "server stopped serving after a 413"
+        print("  error path ok: body_too_large (HTTP 413, before the body)")
 
         # 7. metrics scrape: required series exist with sane values
         text = client.metrics()
@@ -219,6 +248,8 @@ def main() -> int:
         assert series_value(text, "repro_serve_resident_bytes") > 0
         assert series_value(
             text, "repro_serve_errors_total", code="session_not_found") == 1
+        assert series_value(
+            text, "repro_serve_errors_total", code="body_too_large") == 1
         assert series_value(
             text, "repro_serve_apply_seconds_count", session="left") >= 1
         applies = series_value(text, "repro_serve_applies_total")

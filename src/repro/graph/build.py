@@ -52,9 +52,13 @@ def from_edges(
         Optional weights (default: all ones).
     num_vertices:
         Total vertex count; defaults to ``max(endpoint) + 1``.
+
+    Endpoints are validated as a batch's are: a boolean, fractional or
+    non-finite id raises :class:`ValueError` instead of truncating to a
+    vertex.
     """
-    u = np.asarray(u, dtype=np.int64).ravel()
-    v = np.asarray(v, dtype=np.int64).ravel()
+    u = _vertex_ids(u, "edge")
+    v = _vertex_ids(v, "edge")
     if u.shape != v.shape:
         raise ValueError("u and v must have the same length")
     if w is None:
@@ -353,12 +357,15 @@ def apply_edge_batch(
     search plus one memcpy-speed copy of the arrays when the structure
     changes (a weight-only batch copies just ``weights``).  The new graph
     is built with :meth:`CSRGraph.trusted`: no O(E) re-validation, and
-    the old graph's cached values are patched forward — ``vertex_of_edge``
-    spliced, ``num_edges`` counted, ``weighted_degrees`` re-summed on the
-    touched rows only (in storage order, so bit-identical to a fresh
-    ``bincount``), and ``total_weight`` patched from the batch when
+    the old graph's cached values are patched forward — ``num_edges``
+    counted, ``weighted_degrees`` re-summed on the touched rows only (in
+    storage order, so bit-identical to a fresh ``bincount``), and
+    ``total_weight`` patched from the batch when
     :attr:`CSRGraph.integral_weights` makes the sum exact (recomputed on
-    first use otherwise).
+    first use otherwise).  ``vertex_of_edge`` is not patched on a
+    structural change: the new graph rebuilds it on first use, so a
+    caller that never reads it (a Louvain stream session under local
+    screening) never pays for it.
 
     Semantics (identical to :func:`update_edges`):
 
@@ -453,15 +460,13 @@ def apply_edge_batch(
         # and the next row's start share a position), then neighbour.
         ins = ins[np.lexsort((dcol[ins], drow[ins], dpos[ins]))]
         ins_pos = dpos[ins]
-        arrays = [graph.indices, graph.weights]
-        payloads = [dcol[ins], new_w[dpair[ins]]]
-        if vertex_of_edge is not None:
-            arrays.append(vertex_of_edge)
-            payloads.append(drow[ins])
-        spliced = _splice(arrays, del_pos, ins_pos, payloads)
-        indices, weights = spliced[0], spliced[1]
-        if vertex_of_edge is not None:
-            vertex_of_edge = spliced[2]
+        indices, weights = _splice(
+            [graph.indices, graph.weights],
+            del_pos,
+            ins_pos,
+            [dcol[ins], new_w[dpair[ins]]],
+        )
+        vertex_of_edge = None
         # Updated entries moved by the edits before them.
         up_pos = dpos[upd]
         shift = np.searchsorted(ins_pos, up_pos, side="right") - np.searchsorted(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 
 from .build import from_edges, from_scipy
 from .csr import CSRGraph
@@ -69,7 +70,12 @@ def read_edge_list(path: str | Path, *, comments: str = "#%") -> CSRGraph:
             us.append(u)
             vs.append(v)
             ws.append(w)
-    return from_edges(us, vs, ws, num_vertices=num_vertices)
+    return from_edges(
+        np.array(us, dtype=np.int64),
+        np.array(vs, dtype=np.int64),
+        np.array(ws, dtype=np.float64),
+        num_vertices=num_vertices,
+    )
 
 
 def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
@@ -130,7 +136,12 @@ def read_metis(path: str | Path) -> CSRGraph:
                 us.append(i)
                 vs.append(nb)
                 ws.append(w)
-    return from_edges(us, vs, ws, num_vertices=n)
+    return from_edges(
+        np.array(us, dtype=np.int64),
+        np.array(vs, dtype=np.int64),
+        np.array(ws, dtype=np.float64),
+        num_vertices=n,
+    )
 
 
 def write_metis(graph: CSRGraph, path: str | Path) -> None:

@@ -280,13 +280,23 @@ class SessionManager:
         self._enforce_budget(keep=name)
         return session
 
+    def resident(self, name: str) -> StreamSession | None:
+        """The named session if it is in memory, else ``None``; never restores.
+
+        Touches the LRU position of a resident session.
+        """
+        session = self.sessions.get(name)
+        if session is not None:
+            self.sessions.move_to_end(name)
+        return session
+
     def get(self, name: str) -> StreamSession:
         """The named session, restored from disk if evicted.
 
         Touches the LRU position.  Raises :class:`KeyError` for names
         that are neither resident nor snapshotted.
         """
-        session = self.sessions.get(name)
+        session = self.resident(name)
         if session is None:
             if not self.snapshotted(name):
                 raise KeyError(f"unknown session {name!r}")
@@ -299,7 +309,6 @@ class SessionManager:
             self.restored += 1
             self._m_restored.inc()
             self._enforce_budget(keep=name)
-        self.sessions.move_to_end(name)
         return session
 
     def snapshot(self, name: str) -> Path:

@@ -43,6 +43,8 @@ ERROR_STATUS: dict[str, int] = {
     "session_not_found": 404,
     "not_found": 404,          # unknown route
     "method_not_allowed": 405,
+    "body_too_large": 413,     # Content-Length over the server's cap
+    "headers_too_large": 431,  # a header line or the header count over a cap
     "server_error": 500,
     "shutting_down": 503,
 }
@@ -163,7 +165,7 @@ def decode_graph_spec(spec: dict[str, Any]):
         )
     source = sources[0]
     if source == "edges":
-        from ..graph.build import _vertex_ids, from_edges
+        from ..graph.build import from_edges
 
         edges = spec["edges"]
         if not isinstance(edges, dict) or "u" not in edges or "v" not in edges:
@@ -172,8 +174,8 @@ def decode_graph_spec(spec: dict[str, Any]):
         n = edges.get("num_vertices")
         try:
             return from_edges(
-                _vertex_ids(edges["u"], "edge"),
-                _vertex_ids(edges["v"], "edge"),
+                edges["u"],
+                edges["v"],
                 w,
                 num_vertices=int(n) if n is not None else None,
             )

@@ -13,8 +13,13 @@ manager state, and each session has
   one net batch (:class:`~repro.serve.coalesce.BatchCoalescer`) and runs
   a single ``session.apply()`` in a thread-pool executor, so the loop
   keeps accepting (and coalescing) requests while NumPy crunches;
-* an **asyncio lock** — serialises the apply against partition queries,
-  snapshot, evict and delete, so no route ever observes a torn session.
+* an **asyncio lock** — serialises the apply against snapshot, evict,
+  delete, restore and the info and report routes, so none of them ever
+  observes a torn session;
+* a **published view** — partition queries on a resident session take
+  no lock: they answer from the read-only
+  :class:`~repro.stream.session.PartitionView` the session published at
+  the end of its last apply, and name its ``batch``.
 
 The session is *pinned* in the manager for the duration of the apply,
 which keeps the LRU budget enforcement from snapshotting a mid-batch
@@ -65,12 +70,28 @@ __all__ = ["ReproServer", "ServerStats"]
 
 _PHRASES = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
-    405: "Method Not Allowed", 409: "Conflict", 500: "Internal Server Error",
+    405: "Method Not Allowed", 409: "Conflict", 413: "Content Too Large",
+    431: "Request Header Fields Too Large", 500: "Internal Server Error",
     503: "Service Unavailable",
 }
 
 #: Soft cap on members returned by one /members call.
 MAX_MEMBERS = 100_000
+
+#: Longest request or header line the server reads, in bytes (the
+#: connection's ``StreamReader`` limit).
+MAX_LINE_BYTES = 64 * 1024
+
+#: Most header lines one request may carry.
+MAX_HEADERS = 100
+
+#: Largest request body the server buffers, in bytes.  A larger
+#: ``Content-Length`` is refused before any of the body is read.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a refused connection's unread input is drained before close,
+#: and shutdown waits at most for open connections to wind down.
+_LINGER_SECONDS = 1.0
 
 #: Session sub-route verbs that get their own route-template label.
 _SESSION_VERBS = frozenset(
@@ -221,7 +242,8 @@ class ReproServer:
         self._locks: dict[str, asyncio.Lock] = {}
         self._queues: dict[str, asyncio.Queue] = {}
         self._workers: dict[str, asyncio.Task] = {}
-        self._writers: set[asyncio.StreamWriter] = set()
+        # Open connections: each one's writer and the task serving it.
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         self._sampler: asyncio.Task | None = None
         self._init_metrics()
 
@@ -335,7 +357,7 @@ class ReproServer:
         self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self.flight.enabled:
@@ -405,8 +427,14 @@ class ReproServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for writer in list(self._writers):
+        for writer in list(self._connections):
             writer.close()
+        # A closed transport ends its reader with EOF, so each connection
+        # task winds down on its own; loop exit would cancel it instead.
+        if self._connections:
+            await asyncio.wait(
+                list(self._connections.values()), timeout=_LINGER_SECONDS
+            )
         self.log.info("server_stopped", requests=self.stats.requests)
 
     # ------------------------------------------------------------------ #
@@ -415,37 +443,17 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self._writers.add(writer)
+        self._connections[writer] = asyncio.current_task()
         try:
             while not self._stopping:
                 try:
-                    request_line = await reader.readline()
-                except (ConnectionError, asyncio.IncompleteReadError):
+                    request = await self._read_request(reader)
+                except ServeError as exc:
+                    await self._refuse(reader, writer, exc)
                     break
-                if not request_line:
+                if request is None:
                     break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    await self._respond(writer, 400, error_body(
-                        "bad_request", "malformed request line"), close=True)
-                    break
-                method, target, _version = parts
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
-                length = headers.get("content-length", "0")
-                if not (length.isascii() and length.isdigit()):
-                    # Negative or non-numeric: the body's extent is unknown,
-                    # so nothing more on this connection can be framed.
-                    await self._respond(writer, 400, error_body(
-                        "bad_request", f"invalid Content-Length: {length!r}"),
-                        close=True)
-                    break
-                body = await reader.readexactly(int(length))
+                method, target, headers, body = request
                 keep_alive = headers.get("connection", "").lower() != "close"
                 status, payload, extra = await self._dispatch(
                     method.upper(), target, body
@@ -458,8 +466,95 @@ class ReproServer:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            self._writers.discard(writer)
+            self._connections.pop(writer, None)
             writer.close()
+
+    async def _read_request(
+        self, reader: asyncio.StreamReader
+    ) -> tuple[str, str, dict[str, str], bytes] | None:
+        """Read one request within the bounds; ``None`` at end of input.
+
+        Raises :class:`ServeError` for a request that cannot be framed or
+        exceeds :data:`MAX_LINE_BYTES`, :data:`MAX_HEADERS` or
+        :data:`MAX_BODY_BYTES`; nothing after it on the connection can
+        be read then.
+        """
+        try:
+            request_line = await reader.readline()
+        except ValueError as exc:  # the StreamReader limit
+            raise ServeError(
+                "bad_request", f"request line over {MAX_LINE_BYTES} bytes"
+            ) from exc
+        if not request_line:
+            return None
+        parts = request_line.decode("latin-1").strip().split()
+        if len(parts) != 3:
+            raise ServeError("bad_request", "malformed request line")
+        method, target, _version = parts
+        headers: dict[str, str] = {}
+        for _ in range(MAX_HEADERS + 1):
+            try:
+                line = await reader.readline()
+            except ValueError as exc:
+                raise ServeError(
+                    "headers_too_large", f"header line over {MAX_LINE_BYTES} bytes"
+                ) from exc
+            if line in (b"\r\n", b"\n", b""):
+                break
+            key, _, value = line.decode("latin-1").partition(":")
+            headers[key.strip().lower()] = value.strip()
+        else:
+            raise ServeError(
+                "headers_too_large", f"more than {MAX_HEADERS} header lines"
+            )
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            # Negative or non-numeric: the body's extent is unknown, so
+            # nothing more on this connection can be framed.
+            raise ServeError("bad_request", f"invalid Content-Length: {length!r}")
+        # Compared by digit count first: int() refuses strings of more
+        # than 4300 digits, and a header line may hold 64 KiB of them.
+        digits = length.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            raise ServeError(
+                "body_too_large",
+                f"Content-Length {digits[:32]} exceeds {MAX_BODY_BYTES} bytes",
+            )
+        body = await reader.readexactly(int(digits))
+        return method, target, headers, body
+
+    async def _refuse(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        exc: ServeError,
+    ) -> None:
+        """Answer a request the connection cannot read past, then drain.
+
+        The answer goes out before routing (no cid headers), counted as
+        an error by its code, and the write side is closed.  The unread
+        rest of the request is then read and dropped for up to
+        :data:`_LINGER_SECONDS`: closing a socket with unread input makes
+        the kernel reset the connection, which can discard the answer
+        before the client has read it.
+        """
+        self.stats.errors += 1
+        self._m_errors.labels(code=exc.code).inc()
+        self.log.warning("request_error", code=exc.code, status=exc.status)
+        await self._respond(
+            writer, exc.status, error_body(exc.code, exc.message), close=True
+        )
+        if writer.can_write_eof():
+            writer.write_eof()
+
+        async def drain() -> None:
+            while await reader.read(MAX_LINE_BYTES):
+                pass
+
+        try:
+            await asyncio.wait_for(drain(), _LINGER_SECONDS)
+        except (asyncio.TimeoutError, ConnectionError):
+            pass
 
     async def _respond(
         self,
@@ -919,46 +1014,62 @@ class ReproServer:
                 "bad_request", f"query parameter {key!r} must be an integer"
             ) from exc
 
+    async def _reader(self, name: str):
+        """The session a partition read answers from.
+
+        A resident session is read without its lock: the read methods
+        answer from the view it published at the end of its last state
+        change, which an apply running meanwhile never touches.  An
+        evicted session is restored under the lock, as any state change.
+        """
+        session = self.manager.resident(name)
+        if session is None:
+            async with self._lock(name):
+                session = self._session(name)
+        return session
+
     async def _community(
         self, name: str, query: dict[str, str]
     ) -> dict[str, Any]:
         vertex = self._int_param(query, "vertex")
-        async with self._lock(name):
-            session = self._session(name)
-            try:
-                community = session.community_of(vertex)
-            except IndexError as exc:
-                raise ServeError("vertex_out_of_range", str(exc)) from exc
-            return {"vertex": vertex, "community": community}
+        session = await self._reader(name)
+        view = session.view
+        try:
+            community = session.community_of(vertex, view=view)
+        except IndexError as exc:
+            raise ServeError("vertex_out_of_range", str(exc)) from exc
+        return {"vertex": vertex, "community": community, "batch": view.batch}
 
     async def _members(self, name: str, query: dict[str, str]) -> dict[str, Any]:
         community = self._int_param(query, "community")
-        async with self._lock(name):
-            session = self._session(name)
-            members = session.members(community)
-            return {
-                "community": community,
-                "size": int(members.size),
-                "members": members[:MAX_MEMBERS].tolist(),
-                "truncated": bool(members.size > MAX_MEMBERS),
-            }
+        session = await self._reader(name)
+        view = session.view
+        members = session.members(community, view=view)
+        return {
+            "community": community,
+            "size": int(members.size),
+            "members": members[:MAX_MEMBERS].tolist(),
+            "truncated": bool(members.size > MAX_MEMBERS),
+            "batch": view.batch,
+        }
 
     async def _top(self, name: str, query: dict[str, str]) -> dict[str, Any]:
         k = self._int_param(query, "k") if "k" in query else 10
         by = query.get("by", "size")
-        async with self._lock(name):
-            session = self._session(name)
-            try:
-                top = session.top_k_communities(k, by=by)
-            except ValueError as exc:
-                raise ServeError("bad_request", str(exc)) from exc
-            return {
-                "by": by,
-                "communities": [
-                    {"community": c, by: (int(v) if by == "size" else v)}
-                    for c, v in top
-                ],
-            }
+        session = await self._reader(name)
+        view = session.view
+        try:
+            top = session.top_k_communities(k, by=by, view=view)
+        except ValueError as exc:
+            raise ServeError("bad_request", str(exc)) from exc
+        return {
+            "by": by,
+            "communities": [
+                {"community": c, by: (int(v) if by == "size" else v)}
+                for c, v in top
+            ],
+            "batch": view.batch,
+        }
 
     async def _report(self, name: str, query: dict[str, str]) -> dict[str, Any]:
         which = query.get("which", "last")

@@ -12,6 +12,12 @@ the previous membership.
 
 from ..result import StreamResult
 from .frontier import delta_frontier
-from .session import StreamConfig, StreamSession
+from .session import PartitionView, StreamConfig, StreamSession
 
-__all__ = ["StreamSession", "StreamConfig", "StreamResult", "delta_frontier"]
+__all__ = [
+    "StreamSession",
+    "StreamConfig",
+    "StreamResult",
+    "PartitionView",
+    "delta_frontier",
+]

@@ -66,7 +66,7 @@ from ..trace import (
 )
 from .frontier import delta_frontier
 
-__all__ = ["StreamConfig", "StreamSession"]
+__all__ = ["PartitionView", "StreamConfig", "StreamSession"]
 
 #: Movers-row cutoff for patching the carried level-0 contraction: once
 #: the level-0 movers' CSR rows exceed ``1/_CARRY_EDGE_FACTOR`` of the
@@ -227,6 +227,52 @@ class StreamConfig:
         return config_fingerprint(self.to_meta())
 
 
+@dataclass(frozen=True, eq=False)
+class PartitionView:
+    """One published state of a :class:`StreamSession`, for partition reads.
+
+    The session publishes a new view at the end of every state change
+    (construction, :meth:`~StreamSession.resume`, every
+    :meth:`~StreamSession.apply` that returns) by one attribute
+    assignment, and never changes a published one: its ``membership``
+    and ``graph.weighted_degrees`` are read-only arrays.  A reader that
+    took a view therefore answers from one consistent state — the
+    partition after ``batch`` batches, on ``graph``, scoring
+    ``modularity`` — while later batches are applied, without a lock.
+    """
+
+    batch: int
+    membership: np.ndarray
+    graph: CSRGraph
+    modularity: float
+    # Writeable aliases of ``membership`` and ``graph.weighted_degrees``,
+    # for np.bincount alone: it copies any input it may not write to,
+    # though it writes none, which cost every top read an O(n) copy.
+    # Only top_k_communities reads them; nothing writes through them.
+    _labels: np.ndarray = field(repr=False)
+    _degrees: np.ndarray = field(repr=False)
+
+
+def _freeze(
+    array: np.ndarray, published: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(array, alias)``: ``array`` flagged read-only, and the alias a
+    view counts from (see :class:`PartitionView`).
+
+    ``published`` is the previous view's ``(array, alias)``; an array
+    published before keeps its alias.  An array that does not own its
+    data is copied first, since writes through its base would bypass the
+    flag; one already read-only (from elsewhere) is its own alias.
+    """
+    if published is not None and published[0] is array:
+        return published
+    if array.base is not None:
+        array = array.copy()
+    alias = array.view() if array.flags.writeable else array
+    array.flags.writeable = False
+    return array, alias
+
+
 def _singleton_modularity(graph: CSRGraph, resolution: float) -> float:
     """Q of the singleton partition of a *contracted* graph.
 
@@ -289,6 +335,12 @@ class StreamSession:
         the first :meth:`apply`.
     batches:
         Number of batches applied so far.
+    view:
+        The :class:`PartitionView` published at the end of the last state
+        change; the partition queries answer from it.  Publishing makes
+        ``membership`` (the same array as the returned result's) and
+        ``graph.weighted_degrees`` read-only, the input graph's included:
+        copy one before writing to it.
     reports / initial_report:
         Per-batch :class:`~repro.trace.RunReport` list and the initial
         clustering's report; populated only when a tracer is attached.
@@ -348,6 +400,7 @@ class StreamSession:
                 config=config.to_meta(),
                 fingerprint=config.fingerprint(),
             )
+        self._publish()
 
     @classmethod
     def resume(
@@ -372,7 +425,10 @@ class StreamSession:
         ``result.membership``; the parameter remains for snapshots
         persisted before the ``full_rerun_interval`` resync kept
         ``result`` consistent with the audited membership (the two
-        could then differ).
+        could then differ).  A ``membership`` passed here is copied; the
+        session publishes ``result.membership`` itself otherwise, and
+        with it the graph's ``weighted_degrees``, as read-only arrays
+        (see :class:`PartitionView`).
         """
         session = object.__new__(cls)
         session.config = config
@@ -388,10 +444,11 @@ class StreamSession:
         session.membership = (
             result.membership
             if membership is None
-            else np.asarray(membership, dtype=np.int64)
+            else np.array(membership, dtype=np.int64)
         )
         if session.membership.shape != (graph.num_vertices,):
             raise ValueError("membership must assign one label per vertex")
+        session._publish()
         return session
 
     @property
@@ -507,23 +564,62 @@ class StreamSession:
         return result
 
     # ------------------------------------------------------------------ #
-    # Partition queries
+    # Partition queries: answered from a published view, never from the
+    # state an apply in another thread is changing.
     # ------------------------------------------------------------------ #
-    def community_of(self, vertex: int) -> int:
-        """Community label of ``vertex`` in the current clustering."""
-        v = int(vertex)
-        if not 0 <= v < self.graph.num_vertices:
-            raise IndexError(
-                f"vertex {v} out of range [0, {self.graph.num_vertices})"
-            )
-        return int(self.membership[v])
+    def _publish(self) -> None:
+        """Publish the current state as :attr:`view`: one assignment.
 
-    def members(self, community: int) -> np.ndarray:
+        ``membership`` is published as the very object ``self.membership``
+        holds (the carried contraction recognises its labels by
+        identity); it and the graph's ``weighted_degrees`` are made
+        read-only, so a later in-place write raises instead of changing
+        what a reader sees.
+        """
+        last = self.__dict__.get("view")
+        self.membership, labels = _freeze(
+            self.membership, last and (last.membership, last._labels)
+        )
+        graph = self.graph
+        degrees = graph.weighted_degrees
+        frozen, degree_alias = _freeze(
+            degrees, last and (last.graph.weighted_degrees, last._degrees)
+        )
+        if frozen is not degrees:
+            # A copy of a cached value that did not own its data.
+            object.__setattr__(graph, "_weighted_degrees", frozen)
+        self.view = PartitionView(
+            self.batches,
+            self.membership,
+            graph,
+            self.result.modularity,
+            labels,
+            degree_alias,
+        )
+
+    def community_of(self, vertex: int, *, view: PartitionView | None = None) -> int:
+        """Community label of ``vertex``.
+
+        Every query answers from ``view``, by default the latest
+        published :attr:`view`; a caller that reports which batch it
+        answered passes the view it took.
+        """
+        view = view or self.view
+        v = int(vertex)
+        n = view.graph.num_vertices
+        if not 0 <= v < n:
+            raise IndexError(f"vertex {v} out of range [0, {n})")
+        return int(view.membership[v])
+
+    def members(
+        self, community: int, *, view: PartitionView | None = None
+    ) -> np.ndarray:
         """Sorted vertex ids of community ``community`` (empty if absent)."""
-        return np.flatnonzero(self.membership == int(community))
+        view = view or self.view
+        return np.flatnonzero(view.membership == int(community))
 
     def top_k_communities(
-        self, k: int = 10, *, by: str = "size"
+        self, k: int = 10, *, by: str = "size", view: PartitionView | None = None
     ) -> list[tuple[int, float]]:
         """The ``k`` largest communities as ``(label, value)`` pairs.
 
@@ -537,7 +633,8 @@ class StreamSession:
             raise ValueError(f"unknown ranking: {by!r} (size or volume)")
         if k < 0:
             raise ValueError("k must be non-negative")
-        labels = self.membership
+        view = view or self.view
+        labels = view._labels
         if labels.size == 0 or k == 0:
             return []
         counts = np.bincount(labels)
@@ -545,8 +642,7 @@ class StreamSession:
             scores = counts.astype(np.float64)
         else:
             scores = np.bincount(
-                labels, weights=self.graph.weighted_degrees,
-                minlength=counts.size,
+                labels, weights=view._degrees, minlength=counts.size
             )
         present = np.flatnonzero(counts > 0)
         order = np.lexsort((present, -scores[present]))
@@ -581,6 +677,7 @@ class StreamSession:
                 seconds=perf_counter() - start,
             )
             self.result = result
+            self._publish()
             return result
 
         frontier = delta_frontier(
@@ -678,6 +775,7 @@ class StreamSession:
         self.graph = new_graph
         self.membership = membership
         self.result = store
+        self._publish()
         result.seconds = perf_counter() - start
         store.seconds = result.seconds
         return result

@@ -76,6 +76,30 @@ def test_from_edges_rejects_mismatched():
         from_edges([0], [1], [1.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "u", [[1.7], [True], [float("nan")], np.array([1.5]), np.array([True])]
+)
+def test_from_edges_rejects_what_a_cast_would_change(u):
+    # int64 casts would silently turn each of these into vertex 0 or 1.
+    with pytest.raises(ValueError, match="edge endpoints"):
+        from_edges(u, [2])
+    with pytest.raises(ValueError, match="edge endpoints"):
+        from_edges([2], u)
+
+
+def test_from_edges_integer_lists_and_arrays_build_the_same_graph():
+    u, v, w = [0, 1, 2, 2], [1, 2, 0, 3], [1.0, 2.0, 3.0, 4.0]
+    expected = from_edges(np.array(u), np.array(v), np.array(w))
+    for uu, vv in [
+        (u, v),
+        (np.array(u, dtype=np.int32), np.array(v, dtype=np.uint16)),
+        (np.array(u, dtype=float), np.array(v, dtype=float)),  # integral floats
+    ]:
+        g = from_edges(uu, vv, w)
+        assert g == expected
+        assert g.indices.dtype == np.int64
+
+
 def test_from_edges_self_loop():
     g = from_edges([2], [2], [3.5], num_vertices=3)
     assert g.self_loop_weight(2) == 3.5

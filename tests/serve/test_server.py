@@ -3,13 +3,18 @@ coalescing, and the bit-identity acceptance test vs. an offline session."""
 
 from __future__ import annotations
 
+import itertools
 import json
+import logging
 import socket
 import threading
 from http.client import HTTPConnection
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.graph.generators import caveman
 from repro.serve import (
@@ -20,11 +25,12 @@ from repro.serve import (
     ServeError,
     SessionManager,
 )
+from repro.serve.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 from repro.stream import StreamConfig, StreamSession
+from repro.stream import session as session_module
 
 
-@pytest.fixture
-def server(tmp_path):
+def _start_server(tmp_path) -> tuple[ReproServer, threading.Thread]:
     manager = SessionManager(
         ServeConfig(max_sessions=4, snapshot_dir=tmp_path / "snaps")
     )
@@ -35,6 +41,12 @@ def server(tmp_path):
     )
     thread.start()
     assert ready.wait(10), "server did not start"
+    return srv, thread
+
+
+@pytest.fixture
+def server(tmp_path):
+    srv, thread = _start_server(tmp_path)
     yield srv
     srv.request_shutdown()
     thread.join(10)
@@ -315,6 +327,13 @@ def _raw_exchange(server, request: bytes) -> bytes:
     return b"".join(chunks)
 
 
+def _assert_still_serving(server, errors: int) -> None:
+    """A fresh connection is served, and /v1/stats counted ``errors``."""
+    with ServeClient(port=server.port) as fresh:
+        assert fresh.health()["ok"]
+        assert fresh.stats()["errors"] == errors
+
+
 @pytest.mark.parametrize("length", [b"-5", b"abc"])
 def test_invalid_content_length_is_bad_request_and_closes(server, length):
     # The body is a whole request of its own: a server that read the
@@ -330,9 +349,94 @@ def test_invalid_content_length_is_bad_request_and_closes(server, length):
     assert head.startswith(b"HTTP/1.1 400 ")
     assert b"Connection: close" in head
     assert json.loads(body)["error"]["code"] == "bad_request"
-    # the server is still serving
-    with ServeClient(port=server.port) as fresh:
-        assert fresh.health()["ok"]
+    _assert_still_serving(server, 1)
+
+
+def _assert_refused(data: bytes, status: int, code: str) -> None:
+    """One error envelope with ``status`` and ``code``, then a close."""
+    assert data.count(b"HTTP/1.1 ") == 1, data[:200]
+    head, _, body = data.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status), head
+    assert b"Connection: close" in head
+    assert json.loads(body)["error"]["code"] == code
+
+
+def test_header_line_over_the_limit_is_431_and_closes(server):
+    data = _raw_exchange(
+        server,
+        b"GET /v1/health HTTP/1.1\r\nHost: x\r\nX-Pad: "
+        + b"a" * (MAX_LINE_BYTES + 1) + b"\r\n\r\n",
+    )
+    _assert_refused(data, 431, "headers_too_large")
+    _assert_still_serving(server, 1)
+
+
+@pytest.mark.parametrize(
+    "count, status", [(MAX_HEADERS, 200), (MAX_HEADERS + 1, 431), (20_000, 431)]
+)
+def test_header_count_over_the_limit_is_431_and_closes(server, count, status):
+    # The last header closes the connection, so a served request ends it too.
+    headers = b"".join(b"X-H%d: 1\r\n" % i for i in range(count - 1))
+    data = _raw_exchange(
+        server,
+        b"GET /v1/health HTTP/1.1\r\n" + headers + b"Connection: close\r\n\r\n",
+    )
+    if status == 200:
+        assert data.startswith(b"HTTP/1.1 200 "), data[:200]
+        _assert_still_serving(server, 0)
+    else:
+        _assert_refused(data, 431, "headers_too_large")
+        _assert_still_serving(server, 1)
+
+
+@pytest.mark.parametrize(
+    "length, body",
+    [
+        # No body follows: a server that waited for it would never answer
+        # (the exchange's socket timeout fails the test).
+        (b"%d" % (MAX_BODY_BYTES + 1), b""),
+        (b"9" * 5000, b""),  # more digits than int() converts
+        # A client still uploading: closing on its unread bytes would
+        # reset the connection before it reads the answer.
+        (b"%d" % (MAX_BODY_BYTES + 1), b"x" * (4 << 20)),
+    ],
+    ids=["no-body", "overlong-digits", "uploading"],
+)
+def test_content_length_over_the_cap_is_413_before_the_body_is_read(
+    server, length, body
+):
+    data = _raw_exchange(
+        server,
+        b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\nContent-Length: "
+        + length + b"\r\n\r\n" + body,
+    )
+    _assert_refused(data, 413, "body_too_large")
+    _assert_still_serving(server, 1)
+
+
+def test_shutdown_lets_open_connections_wind_down(tmp_path, caplog):
+    """An idle keep-alive connection and one draining a refused upload
+    end at shutdown; a connection task cancelled at loop exit instead
+    makes asyncio log a traceback."""
+    srv, thread = _start_server(tmp_path)
+    idle = ServeClient(port=srv.port)
+    assert idle.health()["ok"]
+    uploading = socket.create_connection(("127.0.0.1", srv.port), timeout=10)
+    uploading.sendall(
+        b"POST /v1/sessions HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n"
+        % (MAX_BODY_BYTES + 1) + b"x" * 4096
+    )
+    reply = b""
+    while b"\r\n\r\n" not in reply:
+        reply += uploading.recv(65536)
+    assert reply.startswith(b"HTTP/1.1 413 ")
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        srv.request_shutdown()
+        thread.join(10)
+    idle.close()
+    uploading.close()
+    assert not thread.is_alive()
+    assert not [r for r in caplog.records if r.name == "asyncio"], caplog.text
 
 
 # --------------------------------------------------------------------- #
@@ -391,6 +495,199 @@ def test_two_concurrent_sessions_match_offline_replay(server):
         assert info["modularity"] == offline.modularity
         assert info["batches"] == len(groups)
     setup.close()
+
+
+def test_reads_do_not_wait_for_an_apply_in_flight(server, client):
+    """Held mid-apply (after the batch counter moved, before the new
+    partition exists), reads still answer at once, from the last view."""
+    graph, _ = caveman(5, 6)
+    client.create_session("busy", edges=_edges_payload(graph))
+    before = _server_membership(client, "busy", 30)
+    entered, release = threading.Event(), threading.Event()
+    real = session_module.delta_frontier
+
+    def held(*args, **kwargs):
+        entered.set()
+        assert release.wait(30)
+        return real(*args, **kwargs)
+
+    acks = []
+    with mock.patch.object(session_module, "delta_frontier", held):
+        def write() -> None:
+            with ServeClient(port=server.port) as writer:
+                acks.append(writer.batch("busy", add=([0], [15], [1.0])))
+
+        thread = threading.Thread(target=write)
+        thread.start()
+        try:
+            assert entered.wait(30)
+            with ServeClient(port=server.port, timeout=10) as reader:
+                answers = [
+                    reader.request("GET", "/sessions/busy/community",
+                                   params={"vertex": v})
+                    for v in range(30)
+                ]
+                top = reader.request("GET", "/sessions/busy/top", params={"k": 2})
+        finally:
+            release.set()
+            thread.join(30)
+    assert not thread.is_alive()
+    assert [a["batch"] for a in answers] == [0] * 30
+    assert [a["community"] for a in answers] == before.tolist()
+    assert top["batch"] == 0
+    assert acks[0]["batch"] == 1
+    assert client.request(
+        "GET", "/sessions/busy/members", params={"community": 0}
+    )["batch"] == 1
+
+
+# --------------------------------------------------------------------- #
+# Acceptance: lock-free reads see their writes.  One writer sends
+# single-edge writes, each its own apply; one reader sends community,
+# members and top queries on a drawn schedule.  Every answer equals an
+# offline replay at the answer's batch, that batch is at least the last
+# one acknowledged before the read was sent, and it never decreases.
+# --------------------------------------------------------------------- #
+_RYW_GRAPH = caveman(6, 5)[0]
+_ryw_sessions = itertools.count()
+
+
+@st.composite
+def _writes_and_reads(draw):
+    """(writes, reads): single-edge writes valid in order, and reads
+    ``(kind, argument, gate)`` each sent once ``gate`` writes are acked."""
+    n = _RYW_GRAPH.num_vertices
+    u, v, _ = _RYW_GRAPH.edge_list()
+    edges = set(zip(u.tolist(), v.tolist()))
+    writes = []
+    steps = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.booleans())
+    for a, b, delete in draw(st.lists(steps, min_size=1, max_size=10)):
+        pair = (min(a, b), max(a, b))
+        if delete and pair in edges:
+            edges.discard(pair)
+            writes.append(("remove", a, b))
+        else:
+            edges.add(pair)
+            writes.append(("add", a, b))
+    kinds = st.sampled_from(["community", "members", "top_size", "top_volume"])
+    reads = draw(st.lists(
+        st.tuples(kinds, st.integers(0, n - 1), st.integers(0, len(writes))),
+        min_size=1, max_size=16,
+    ))
+    return writes, reads
+
+
+def _read(client, name: str, kind: str, arg: int) -> dict:
+    if kind == "community":
+        return client.request(
+            "GET", f"/sessions/{name}/community", params={"vertex": arg}
+        )
+    if kind == "members":
+        return client.request(
+            "GET", f"/sessions/{name}/members", params={"community": arg}
+        )
+    by = kind.removeprefix("top_")
+    return client.request(
+        "GET", f"/sessions/{name}/top", params={"k": 4, "by": by}
+    )
+
+
+def _expected(state: tuple, kind: str, arg: int) -> dict:
+    """The answer for ``(membership, weighted degrees)``, by plain NumPy."""
+    membership, degrees = state
+    if kind == "community":
+        return {"vertex": arg, "community": int(membership[arg])}
+    if kind == "members":
+        members = np.flatnonzero(membership == arg).tolist()
+        return {"community": arg, "size": len(members), "members": members,
+                "truncated": False}
+    by = kind.removeprefix("top_")
+    sizes = np.bincount(membership)
+    scores = sizes.astype(np.float64) if by == "size" else np.bincount(
+        membership, weights=degrees, minlength=sizes.size
+    )
+    present = np.flatnonzero(sizes)
+    top = present[np.lexsort((present, -scores[present]))][:4]
+    return {"by": by, "communities": [
+        {"community": int(c), by: int(sizes[c]) if by == "size" else float(scores[c])}
+        for c in top
+    ]}
+
+
+@settings(
+    max_examples=15, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_writes_and_reads())
+def test_lock_free_reads_see_their_writes(server, case):
+    writes, reads = case
+    name = f"ryw{next(_ryw_sessions)}"
+    with ServeClient(port=server.port) as setup:
+        setup.create_session(name, edges=_edges_payload(_RYW_GRAPH))
+    progress = threading.Condition()
+    state = {"acked": 0, "done": False}
+    answers = []  # (kind, arg, last acked batch when sent, payload)
+    failures = []
+
+    def writer() -> None:
+        try:
+            with ServeClient(port=server.port) as client:
+                for i, (side, a, b) in enumerate(writes, start=1):
+                    if side == "add":
+                        response = client.batch(name, add=([a], [b], [1.0]))
+                    else:
+                        response = client.batch(name, remove=([a], [b]))
+                    assert (response["batch"], response["coalesced"]) == (i, 1)
+                    with progress:
+                        state["acked"] = i
+                        progress.notify_all()
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+        finally:
+            with progress:
+                state["done"] = True
+                progress.notify_all()
+
+    def reader() -> None:
+        try:
+            with ServeClient(port=server.port) as client:
+                for kind, arg, gate in reads:
+                    with progress:
+                        progress.wait_for(
+                            lambda: state["acked"] >= gate or state["done"]
+                        )
+                        floor = state["acked"]
+                    answers.append((kind, arg, floor, _read(client, name, kind, arg)))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    threads = [threading.Thread(target=writer), threading.Thread(target=reader)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, failures
+    assert len(answers) == len(reads)
+
+    # The session's own state after each batch, not its published views:
+    # the reference must not share the mechanism under test.
+    offline = StreamSession(_RYW_GRAPH, StreamConfig())
+    states = [(offline.membership.copy(), offline.graph.weighted_degrees.copy())]
+    for side, a, b in writes:
+        if side == "add":
+            offline.apply(add=(np.array([a]), np.array([b]), np.array([1.0])))
+        else:
+            offline.apply(remove=(np.array([a]), np.array([b])))
+        states.append((offline.membership.copy(), offline.graph.weighted_degrees.copy()))
+
+    seen = 0
+    for kind, arg, floor, payload in answers:
+        batch = payload.pop("batch")
+        assert floor <= batch <= len(writes)
+        assert batch >= seen  # one connection never reads backwards
+        seen = batch
+        assert payload == _expected(states[batch], kind, arg)
 
 
 def test_coalescing_off_applies_each_request(tmp_path):
