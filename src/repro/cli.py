@@ -328,10 +328,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_info(args: argparse.Namespace) -> int:
+def _load_graph(path: str):
+    """``load_graph(path)``, or ``None`` after printing why it failed.
+
+    The readers' errors name the file, the line and the reason, so the
+    message is all a user needs; no traceback.
+    """
     from .graph.io import load_graph
 
-    graph = load_graph(args.path)
+    try:
+        return load_graph(path)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _cmd_info(args: argparse.Namespace) -> int:
+    graph = _load_graph(args.path)
+    if graph is None:
+        return 2
     degrees = graph.degrees
     print(f"vertices:        {graph.num_vertices}")
     print(f"edges:           {graph.num_edges}")
@@ -397,9 +412,9 @@ def _read_membership(path: str, num_vertices: int) -> np.ndarray:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    from .graph.io import load_graph
-
-    graph = load_graph(args.path)
+    graph = _load_graph(args.path)
+    if graph is None:
+        return 2
     tracing = bool(args.trace or args.trace_summary)
     tracer = None
     if tracing:
@@ -574,10 +589,11 @@ def _synthetic_batches(
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    from .graph.io import load_graph
     from .stream import StreamSession
 
-    graph = load_graph(args.path)
+    graph = _load_graph(args.path)
+    if graph is None:
+        return 2
     tracing = bool(args.trace or args.trace_summary)
     tracer = None
     if tracing:

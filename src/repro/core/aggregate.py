@@ -342,7 +342,9 @@ class LabelContraction:
             )
             label_of = np.flatnonzero(np.bincount(labels, minlength=n))
             keys = label_of[present // num_new] * n + label_of[present % num_new]
-            return cls(n, keys, weights, counts)
+            # A weighted bincount of no entries comes back int64; later
+            # patches add float weights in place.
+            return cls(n, keys, weights.astype(np.float64, copy=False), counts)
         out = cls.empty(n)
         key = labels[graph.vertex_of_edge] * np.int64(n) + labels[graph.indices]
         out.add(key, graph.weights, np.ones(key.size, dtype=np.int64))

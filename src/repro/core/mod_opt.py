@@ -52,6 +52,7 @@ __all__ = [
     "FrontierOutcome",
     "modularity_optimization",
     "frontier_modularity_optimization",
+    "singletons_can_move",
 ]
 
 #: Movers-row cutoff for the incremental internal-weight update: once
@@ -365,6 +366,35 @@ def frontier_modularity_optimization(
     return outcome
 
 
+def singletons_can_move(graph: CSRGraph, config: GPULouvainConfig) -> bool:
+    """Whether any vertex of ``graph`` leaves its singleton community.
+
+    One :func:`compute_moves_vectorized` call scores every non-isolated
+    vertex against the singleton partition (volumes ``k``, sizes 1).
+    When it proposes no move, :func:`modularity_optimization` from
+    singletons returns the identity after one sweep: with no commit,
+    every bucket of that sweep is scored against this same state, so
+    bucket order cannot change a decision.  A stream session drops such
+    a coarse level as degenerate without optimizing or contracting it.
+    """
+    n = graph.num_vertices
+    if n == 0 or graph.total_weight == 0.0:
+        return False
+    k = graph.weighted_degrees
+    vertices = np.flatnonzero(graph.degrees > 0)
+    proposed = compute_moves_vectorized(
+        graph,
+        np.arange(n, dtype=np.int64),
+        k,
+        np.ones(n, dtype=np.int64),
+        vertices,
+        k=k,
+        singleton_constraint=config.singleton_constraint,
+        resolution=config.resolution,
+    )
+    return bool((proposed != vertices).any())
+
+
 def _sweep_loop(
     graph: CSRGraph,
     config: GPULouvainConfig,
@@ -391,6 +421,11 @@ def _sweep_loop(
     on every sweep made ``gpu_louvain`` 2.3x slower for the same output
     (DESIGN.md §7).
 
+    Local screening (a mask without ``exact``) works in proportion to
+    its active set: it buckets only the active vertices, builds no
+    plan, and scores every bucket of a sweep in one call up to the
+    sweep's first commit (DESIGN.md §7).
+
     The simulated engine and the relaxed ablation take the
     non-incremental branch: no plan validity tracking, and an exact Q
     every sweep.  ``internal`` seeds the starting internal weight (see
@@ -410,16 +445,19 @@ def _sweep_loop(
     scoring = dict(
         k=k, singleton_constraint=config.singleton_constraint, resolution=config.resolution
     )
+    local = active is not None and not exact
+    num_buckets = len(config.degree_bucket_bounds) + 1
 
-    # Degree buckets are fixed for the whole phase (degrees never change
-    # inside a level), exactly as the repeated thrust::partition of Alg. 1
-    # would recompute them.
-    buckets: list[Bucket] = degree_buckets(
-        graph.degrees, config.degree_bucket_bounds, config.group_sizes
-    )
-    if active is not None:
-        vbucket = bucket_index(graph.degrees, config.degree_bucket_bounds)
-        bucket_masks = [vbucket == bucket.index for bucket in buckets]
+    if not local:
+        # Degree buckets are fixed for the whole phase (degrees never
+        # change inside a level), exactly as the repeated
+        # thrust::partition of Alg. 1 would recompute them.
+        buckets: list[Bucket] = degree_buckets(
+            graph.degrees, config.degree_bucket_bounds, config.group_sizes
+        )
+        if active is not None:
+            vbucket = bucket_index(graph.degrees, config.degree_bucket_bounds)
+            bucket_masks = [vbucket == bucket.index for bucket in buckets]
 
     dst = graph.indices
     w = graph.weights
@@ -431,20 +469,13 @@ def _sweep_loop(
     volumes = np.bincount(comm, weights=k, minlength=n)
     sizes = np.bincount(comm, minlength=n)
 
-    if simulate:
-        plan = None
-    elif active is None or exact:
-        # Full-list sweeps (every static sweep; sweep 1 of exact
-        # screening) pay the whole gather up front.
-        plan = SweepPlan.build(graph, buckets)
-    else:
-        # Local screening never scores the whole graph — start from
-        # empty bucket plans and build only what the frontier touches.
-        empty = [replace(bucket, members=np.empty(0, dtype=np.int64)) for bucket in buckets]
-        plan = SweepPlan.build(graph, empty)
+    # Full-list sweeps (every static sweep; sweep 1 of exact screening)
+    # pay the whole gather up front.  Local screening's member sets
+    # change from sweep to sweep, so a plan would cache nothing for it.
+    plan = None if simulate or local else SweepPlan.build(graph, buckets)
     # Incremental Q tracking needs the per-bucket commit discipline (the
     # relaxed ablation recomputes volumes wholesale at sweep end anyway).
-    incremental = plan is not None and not config.relaxed_updates
+    incremental = not simulate and not config.relaxed_updates
     if plan is not None:
         # Pair caches stay valid only while every commit is reported via
         # mark_moved — i.e. under the per-bucket commit discipline.
@@ -453,6 +484,45 @@ def _sweep_loop(
             # int32 label mirror for the half-width combined sort key;
             # the incremental commit keeps it in sync.
             plan.bind_communities(comm)
+    mover_scratch = plan.mover_scratch if plan is not None else np.zeros(n, dtype=bool)
+    comm_before: np.ndarray | None = None
+
+    def commit(members: np.ndarray, new_comm: np.ndarray) -> int:
+        """Commit one bucket's moves and re-activate what they affect.
+
+        Returns the number of movers.  The sweep's starting labels are
+        copied at its first commit, for the incremental Q tracker.
+        """
+        nonlocal comm_before
+        changed = new_comm != comm[members]
+        if not changed.any():
+            return 0
+        if incremental and comm_before is None:
+            comm_before = comm.copy()
+        movers = members[changed]
+        old = comm[movers]
+        new = new_comm[changed]
+        _commit_moves(plan, comm, movers, old, new, volumes, sizes, k)
+        if active is not None:
+            # Delta-screening expansion: every vertex whose own or
+            # neighbouring community totals changed becomes active.
+            pos, _ = gather_rows(graph.indptr, movers)
+            active[graph.indices[pos]] = True
+            if exact or expansion == "community":
+                comm_mask = np.zeros(n, dtype=bool)
+                comm_mask[old] = True
+                comm_mask[new] = True
+                member_mask = comm_mask[comm]
+                np.logical_or(active, member_mask, out=active)
+                if exact:
+                    # Sound rule: a changed community volume reaches
+                    # every neighbour of every member, not just the
+                    # movers'.
+                    pos2, _ = gather_rows(graph.indptr, np.flatnonzero(member_mask))
+                    active[graph.indices[pos2]] = True
+            else:
+                active[movers] = True
+        return int(movers.size)
 
     # One edge scan (unless the caller seeded it) serves both the
     # baseline Q and the incremental tracker's seed.
@@ -471,72 +541,87 @@ def _sweep_loop(
         sweeps += 1
         moved = 0
         scored = 0
-        comm_before = comm.copy() if incremental else None
-        moves_per_bucket = [0] * len(buckets)
+        comm_before = None
+        moves_per_bucket = [0] * num_buckets
         hits_before = _plan_hits(plan)
         pending: list[tuple[int, np.ndarray, np.ndarray]] = []
-        full_sweep = active is None or (exact and sweeps == 1)
-        for index, bucket in enumerate(buckets):
-            if full_sweep:
-                members = bucket.members
-            else:
-                # Per-bucket extraction at processing time: a commit in an
-                # earlier bucket of THIS sweep can activate vertices that a
-                # later bucket must then score (matching the full engine's
-                # read-after-commit discipline).
-                members = np.flatnonzero(active & bucket_masks[index])
-            if members.size == 0:
-                continue
-            scored += int(members.size)
-            if simulate:
-                new_comm, stats = compute_moves_simulated(
-                    graph, comm, volumes, sizes, bucket, cost_model, **scoring
-                )
-                profile.add(stats)
-            else:
-                if active is not None:
-                    # Scoring consumes the activation; commits below
-                    # re-activate whatever the moves affect (possibly
-                    # these same vertices).
-                    active[members] = False
-                    if not np.array_equal(plan.bucket_plans[index].bucket.members, members):
-                        plan.replace_bucket(index, graph, replace(bucket, members=members), k=k)
-                new_comm = compute_moves_vectorized(
-                    graph, comm, volumes, sizes, members, plan=plan.for_bucket(index), **scoring
-                )
-            if config.relaxed_updates:
-                pending.append((index, members, new_comm))
-                continue
-            changed = new_comm != comm[members]
-            if not changed.any():
-                continue
-            num_changed = int(changed.sum())
-            moved += num_changed
-            moves_per_bucket[index] = num_changed
-            movers = members[changed]
-            old = comm[movers]
-            new = new_comm[changed]
-            _commit_moves(plan, comm, movers, old, new, volumes, sizes, k)
-            if active is None:
-                continue
-            # Delta-screening expansion: every vertex whose own or
-            # neighbouring community totals changed becomes active.
-            pos, _ = gather_rows(graph.indptr, movers)
-            active[graph.indices[pos]] = True
-            if exact or expansion == "community":
-                comm_mask = np.zeros(n, dtype=bool)
-                comm_mask[old] = True
-                comm_mask[new] = True
-                member_mask = comm_mask[comm]
-                active |= member_mask
-                if exact:
-                    # Sound rule: a changed community volume reaches
-                    # every neighbour of every member, not just the
-                    # movers'.
-                    pos2, _ = gather_rows(graph.indptr, np.flatnonzero(member_mask))
-                    active[graph.indices[pos2]] = True
-            else:
-                active[movers] = True
+        if local:
+            # Frontier buckets: only the active vertices are bucketed,
+            # ascending within each bucket.  One call scores every bucket
+            # against the sweep's starting state, which is each bucket's
+            # own state up to the sweep's first commit.  From then on the
+            # later buckets' proposals are stale: each is rescored alone
+            # at its turn, from members extracted after the last commit
+            # (which may have activated more of them), as the exact
+            # branch does.
+            stale = False
+            candidates = np.flatnonzero(active)
+            of_bucket = bucket_index(graph.degrees[candidates], config.degree_bucket_bounds)
+            proposals = compute_moves_vectorized(
+                graph, comm, volumes, sizes, candidates, **scoring
+            )
+            for index in range(num_buckets):
+                in_bucket = of_bucket == index
+                members = candidates[in_bucket]
+                if members.size == 0:
+                    continue
+                scored += int(members.size)
+                active[members] = False
+                if stale:
+                    new_comm = compute_moves_vectorized(
+                        graph, comm, volumes, sizes, members, **scoring
+                    )
+                else:
+                    new_comm = proposals[in_bucket]
+                num_changed = commit(members, new_comm)
+                moved += num_changed
+                moves_per_bucket[index] = num_changed
+                if num_changed:
+                    stale = True
+                    candidates = np.flatnonzero(active)
+                    of_bucket = bucket_index(
+                        graph.degrees[candidates], config.degree_bucket_bounds
+                    )
+        else:
+            full_sweep = active is None or (exact and sweeps == 1)
+            for index, bucket in enumerate(buckets):
+                if full_sweep:
+                    members = bucket.members
+                else:
+                    # Per-bucket extraction at processing time: a commit
+                    # in an earlier bucket of THIS sweep can activate
+                    # vertices that a later bucket must then score
+                    # (matching the full engine's read-after-commit
+                    # discipline).
+                    members = np.flatnonzero(active & bucket_masks[index])
+                if members.size == 0:
+                    continue
+                scored += int(members.size)
+                if simulate:
+                    new_comm, stats = compute_moves_simulated(
+                        graph, comm, volumes, sizes, bucket, cost_model, **scoring
+                    )
+                    profile.add(stats)
+                else:
+                    if active is not None:
+                        # Scoring consumes the activation; commits below
+                        # re-activate whatever the moves affect (possibly
+                        # these same vertices).
+                        active[members] = False
+                        if not np.array_equal(plan.bucket_plans[index].bucket.members, members):
+                            plan.replace_bucket(
+                                index, graph, replace(bucket, members=members), k=k
+                            )
+                    new_comm = compute_moves_vectorized(
+                        graph, comm, volumes, sizes, members,
+                        plan=plan.for_bucket(index), **scoring,
+                    )
+                if config.relaxed_updates:
+                    pending.append((index, members, new_comm))
+                    continue
+                num_changed = commit(members, new_comm)
+                moved += num_changed
+                moves_per_bucket[index] = num_changed
         if config.relaxed_updates:
             for index, members, new_comm in pending:
                 changed = new_comm != comm[members]
@@ -557,8 +642,8 @@ def _sweep_loop(
             frontier_size=scored,
         )
         if incremental:
-            movers_sweep = np.flatnonzero(comm != comm_before)
-            if movers_sweep.size:
+            if comm_before is not None:
+                movers_sweep = np.flatnonzero(comm != comm_before)
                 # When the movers' rows rival the whole edge list, a
                 # fresh exact scan is both cheaper and drift-free.
                 mover_edges = int(graph.degrees[movers_sweep].sum())
@@ -566,7 +651,7 @@ def _sweep_loop(
                     internal = internal_scan()
                 else:
                     internal += _sweep_internal_delta(
-                        graph, comm_before, comm, movers_sweep, plan.mover_scratch
+                        graph, comm_before, comm, movers_sweep, mover_scratch
                     )
             # The sum(a_c^2) term is O(n) to evaluate exactly — only the
             # edge-scan term is worth tracking incrementally.
@@ -595,7 +680,7 @@ def _sweep_loop(
         # Final reported Q must be exact (and the last sweep's drift
         # observable).  Under integral weights the tracked internal
         # weight is exact already, so only the volumes are recounted.
-        if not plan.integral_weights:
+        if not graph.integral_weights:
             internal = internal_scan()
         q = _modularity_from(internal, comm, k, two_m, config.resolution)
         profile.sweeps[-1].q_exact = q

@@ -55,7 +55,8 @@ def from_edges(
 
     Endpoints are validated as a batch's are: a boolean, fractional or
     non-finite id raises :class:`ValueError` instead of truncating to a
-    vertex.
+    vertex, and so does a NaN or infinite weight (one would poison
+    ``2m`` and every modularity computed from it).
     """
     u = _vertex_ids(u, "edge")
     v = _vertex_ids(v, "edge")
@@ -67,6 +68,8 @@ def from_edges(
         w = np.asarray(w, dtype=np.float64).ravel()
         if w.shape != u.shape:
             raise ValueError("w must match u/v in length")
+        if not np.isfinite(w).all():
+            raise ValueError("edge weights must be finite")
     if u.size and (min(u.min(), v.min()) < 0):
         raise ValueError("vertex ids must be non-negative")
     n = int(num_vertices) if num_vertices is not None else (
@@ -346,7 +349,8 @@ def apply_edge_batch(
     *,
     add: tuple[np.ndarray, np.ndarray, np.ndarray | None] | None = None,
     remove: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[CSRGraph, np.ndarray, np.ndarray, np.ndarray]:
+    count_change: bool = False,
+) -> tuple:
     """Apply a batch of edge updates by *patching* the CSR arrays.
 
     The streaming fast path: instead of the O(E log E) rebuild of
@@ -386,7 +390,10 @@ def apply_edge_batch(
     Returns ``(new_graph, du, dv, dw)`` where ``(du[i], dv[i])`` with
     ``du <= dv`` are the undirected pairs the batch touched and ``dw``
     the net stored-weight change of each — the delta-screening input of
-    :mod:`repro.stream`.
+    :mod:`repro.stream`.  ``count_change=True`` appends a fifth array:
+    each pair's change in stored entries per direction (+1 inserted, -1
+    deleted, 0 reweighted), which a stream session's carried
+    contraction patches its entry counts by.
     """
     n = graph.num_vertices
     empty_i = np.empty(0, dtype=np.int64)
@@ -398,7 +405,7 @@ def apply_edge_batch(
     rkey = _canonical_batch_removes(remove, n) if remove is not None else empty_i
 
     if akey.size == 0 and rkey.size == 0:
-        return graph, empty_i, empty_i, empty_f
+        return (graph, empty_i, empty_i, empty_f) + ((empty_i,) if count_change else ())
 
     if not graph.canonical:
         raise ValueError(
@@ -514,6 +521,8 @@ def apply_edge_batch(
         canonical=True,
         integral_weights=integral,
     )
+    if count_change:
+        return out, plo, phi, dw, insert.astype(np.int64) - delete
     return out, plo, phi, dw
 
 

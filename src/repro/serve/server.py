@@ -889,12 +889,20 @@ class ReproServer:
     async def _apply_burst(self, name: str, burst: list[_BatchRequest]) -> None:
         try:
             session = self.manager.get(name)
-        except KeyError as exc:
+        except Exception as exc:  # noqa: BLE001 - answer every waiter
+            # A failed restore (a corrupt snapshot) must not kill this
+            # worker task and leave the waiters without an answer.
+            if isinstance(exc, KeyError):
+                code, message = "session_not_found", str(exc)
+            else:
+                self.log.error(
+                    "restore_failed", session=name,
+                    exception=f"{type(exc).__name__}: {exc}",
+                )
+                code, message = "server_error", f"cannot restore session: {exc}"
             for request in burst:
                 if not request.future.done():
-                    request.future.set_exception(
-                        ServeError("session_not_found", str(exc))
-                    )
+                    request.future.set_exception(ServeError(code, message))
             return
         coalescer = BatchCoalescer(session.graph)
         accepted: list[_BatchRequest] = []

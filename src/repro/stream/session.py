@@ -36,6 +36,7 @@ membership.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -49,8 +50,9 @@ from ..core.mod_opt import (
     _partition_modularity,
     frontier_modularity_optimization,
     modularity_optimization,
+    singletons_can_move,
 )
-from ..graph.build import apply_edge_batch, find_entries
+from ..graph.build import apply_edge_batch
 from ..graph.csr import CSRGraph
 from ..metrics.modularity import modularity
 from ..metrics.quality import normalized_mutual_information
@@ -75,6 +77,14 @@ __all__ = ["PartitionView", "StreamConfig", "StreamSession"]
 #: the uk-2002 analog (1M stored entries): the patch cost 0.29x a fresh
 #: contraction at rows = E/100, 0.79x at E/33 and 1.7x at E/17.
 _CARRY_EDGE_FACTOR = 32
+
+#: Releases the GIL and the CPU for a moment (a no-op where the OS has
+#: no ``sched_yield``).  An apply runs on a worker thread while partition
+#: reads run on the serving thread; a frontier-sized apply spends little
+#: time in the NumPy calls that release the GIL, so without these
+#: points a read that arrives mid-apply waits for the whole apply
+#: (DESIGN.md §12).
+_yield_gil = getattr(os, "sched_yield", lambda: None)
 
 
 @dataclass(frozen=True)
@@ -653,8 +663,11 @@ class StreamSession:
         """:meth:`apply` body (tracing handled by the wrapper)."""
         start = perf_counter()
         cfg = self.config
-        new_graph, du, dv, dw = apply_edge_batch(self.graph, add=add, remove=remove)
-        self._carry_batch(new_graph, du, dv, dw)
+        new_graph, du, dv, dw, count_change = apply_edge_batch(
+            self.graph, add=add, remove=remove, count_change=True
+        )
+        self._carry_batch(new_graph, du, dv, dw, count_change)
+        _yield_gil()
         self.batches += 1
         n = new_graph.num_vertices
         width = max(n, 1)
@@ -683,6 +696,7 @@ class StreamSession:
         frontier = delta_frontier(
             new_graph, self.membership, du, dv, scope=cfg.frontier_scope
         )
+        _yield_gil()
         frontier_fraction = frontier.size / width
         full_due = (
             cfg.full_rerun_interval > 0
@@ -781,13 +795,20 @@ class StreamSession:
         return result
 
     def _carry_batch(
-        self, graph: CSRGraph, du: np.ndarray, dv: np.ndarray, dw: np.ndarray
+        self,
+        graph: CSRGraph,
+        du: np.ndarray,
+        dv: np.ndarray,
+        dw: np.ndarray,
+        count_change: np.ndarray,
     ) -> None:
         """Patch the carried contraction with a batch's changed pairs.
 
         Afterwards it is the contraction of (``graph``, the pre-batch
-        membership): level 0's starting point.  A stale carry (its graph
-        or labels are no longer the session's) is dropped instead.
+        membership): level 0's starting point.  ``count_change`` is each
+        pair's stored-entry change, as the CSR patch reports it.  A
+        stale carry (its graph or labels are no longer the session's) is
+        dropped instead.
         """
         carry = self._carry
         if carry is None or du.size == 0:
@@ -797,11 +818,6 @@ class StreamSession:
         if stale or not graph.integral_weights:
             self._carry = None
             return
-        # An insertion adds one stored entry per direction, a deletion
-        # removes one, a weight update keeps the count.
-        count_change = find_entries(graph, du, dv)[1].astype(np.int64) - find_entries(
-            old, du, dv
-        )[1]
         contraction.add_pairs(labels, du, dv, dw, count_change)
         self._carry = (graph, labels, contraction)
 
@@ -886,9 +902,16 @@ class StreamSession:
                     )
                     frontier_size = outcome.frontier_initial
                 else:
+                    if refine is None and not singletons_can_move(current, lcfg):
+                        # Optimizing would return the identity after one
+                        # sweep, and contracting by it gives a degenerate
+                        # level: drop it now.
+                        level_span.set(degenerate=True)
+                        break
                     outcome = modularity_optimization(
                         current, lcfg, threshold, tracer=tracer
                     )
+                _yield_gil()
                 contract_by = outcome.communities
                 if refine is not None:
                     contract_by = refine(current, outcome.communities, tracer)
@@ -898,7 +921,8 @@ class StreamSession:
                     if _CARRY_EDGE_FACTOR * rows > graph.num_stored_edges:
                         carry = None  # cheaper to contract afresh
                     else:
-                        carry.move(graph, self.membership, contract_by, movers)
+                        if movers.size:
+                            carry.move(graph, self.membership, contract_by, movers)
                         carry_labels = contract_by
                 if level == 0 and carry_labels is not None:
                     agg = carry.contract(current, carry_labels, tracer=tracer)
@@ -943,10 +967,13 @@ class StreamSession:
 
         membership = flatten_levels(levels)
         if carry_labels is not None:
-            # Re-key to the final labels: the next batch starts from them.
-            final_of = np.empty(graph.num_vertices, dtype=np.int64)
-            final_of[carry_labels] = membership
-            self._carry = (graph, membership, carry.relabel(final_of))
+            if not np.array_equal(membership, carry_labels):
+                # Re-key to the final labels: the next batch starts from
+                # them.
+                final_of = np.empty(graph.num_vertices, dtype=np.int64)
+                final_of[carry_labels] = membership
+                carry = carry.relabel(final_of)
+            self._carry = (graph, membership, carry)
         # The reported Q is always exact on the updated graph — drift in
         # the cheap per-level estimates cannot hide.
         if exact:

@@ -222,6 +222,8 @@ def test_plan_is_freed_when_the_phase_returns(monkeypatch, frontier):
     """No reference cycle keeps a phase's plan alive until the cyclic GC.
 
     The frontier path also swaps bucket plans in (``replace_bucket``).
+    Only exact screening builds a plan there; local screening builds
+    none.
     """
     plans = []
     build = mod_opt.SweepPlan.build
@@ -241,6 +243,7 @@ def test_plan_is_freed_when_the_phase_returns(monkeypatch, frontier):
                 graph, config, 1e-6,
                 initial_communities=np.arange(graph.num_vertices),
                 frontier=np.array([0, 33]),
+                screening="exact",
             )
         else:
             mod_opt.modularity_optimization(graph, config, 1e-6)

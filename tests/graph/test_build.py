@@ -87,6 +87,13 @@ def test_from_edges_rejects_what_a_cast_would_change(u):
         from_edges([2], u)
 
 
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), float("-inf")])
+def test_from_edges_rejects_non_finite_weights(w):
+    # One NaN or inf weight would poison 2m and every modularity.
+    with pytest.raises(ValueError, match="edge weights must be finite"):
+        from_edges([0, 1], [1, 2], [1.0, w])
+
+
 def test_from_edges_integer_lists_and_arrays_build_the_same_graph():
     u, v, w = [0, 1, 2, 2], [1, 2, 0, 3], [1.0, 2.0, 3.0, 4.0]
     expected = from_edges(np.array(u), np.array(v), np.array(w))

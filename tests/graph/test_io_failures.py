@@ -13,6 +13,21 @@ from repro.graph.io import (
     write_metis,
 )
 
+#: First line of the files below: no reader's error may repeat it.
+MARKER = "secret-token-123"
+
+#: Files whose first line is :data:`MARKER`, by name (the suffix picks
+#: the reader), and the reason each reader gives.
+MARKED_FILES = {
+    "edges.txt": (f"{MARKER}\n0 1\n", r"edges\.txt, line 1: expected 'u v \[w\]'$"),
+    "weights.txt": (f"0 1 {MARKER}\n", r"weights\.txt, line 1: edge weight must be a number$"),
+    "ids.txt": (f"{MARKER} 1\n", r"ids\.txt, line 1: vertex ids must be integers$"),
+    "head.graph": (f"{MARKER} 1\n2\n1\n", r"head\.graph, line 1: malformed METIS header$"),
+    "row.graph": (f"2 1\n{MARKER}\n1\n", r"row\.graph, line 2: neighbor ids must be integers$"),
+    "fmt.graph": (f"2 1 {MARKER}\n2\n1\n", r"fmt\.graph, line 1: unsupported METIS fmt code"),
+    "matrix.mtx": (f"{MARKER}\n1 1\n", r"matrix\.mtx: not a valid Matrix Market file$"),
+}
+
 from ..conftest import csr_graphs
 
 
@@ -34,7 +49,7 @@ def test_edge_list_error_counts_comment_lines(tmp_path):
     # Line numbers are 1-based over the raw file, comments included.
     path = tmp_path / "bad.txt"
     path.write_text("# header\n0 1\n\n1 two\n")
-    with pytest.raises(ValueError, match=r"bad\.txt, line 4.*'1 two'"):
+    with pytest.raises(ValueError, match=r"bad\.txt, line 4: vertex ids must be integers$"):
         read_edge_list(path)
 
 
@@ -149,3 +164,28 @@ def test_large_roundtrip(tmp_path):
     path = tmp_path / "big.txt"
     write_edge_list(g, path)
     assert load_graph(path) == g
+
+
+@pytest.mark.parametrize("name", sorted(MARKED_FILES))
+def test_parse_errors_name_the_line_and_never_quote_it(tmp_path, name):
+    text, reason = MARKED_FILES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=reason) as excinfo:
+        load_graph(path)
+    assert MARKER not in str(excinfo.value)
+
+
+def test_edge_list_rejects_non_finite_weights_by_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("0 1 1.5\n1 2 nan\n")
+    with pytest.raises(ValueError, match=r"bad\.txt, line 2: edge weight must be finite$"):
+        read_edge_list(path)
+
+
+def test_binary_file_is_named_not_quoted(tmp_path):
+    path = tmp_path / "blob.txt"
+    path.write_bytes(b"0 1\n\xff\xfe\x00" + MARKER.encode())
+    with pytest.raises(ValueError, match=r"blob\.txt, line 2: not text") as excinfo:
+        read_edge_list(path)
+    assert MARKER not in str(excinfo.value)

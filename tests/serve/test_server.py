@@ -136,6 +136,34 @@ def test_snapshot_evict_restore_round_trip(client):
     assert client.stats()["sessions"]["restored"] == 1
 
 
+def test_corrupt_snapshot_answers_every_request(server, tmp_path):
+    """A session whose snapshot was corrupted while evicted: every batch
+    and read on it gets an error answer (no hang, no dead batch worker),
+    and the other sessions are still served."""
+    from .test_snapshot import CORRUPTIONS, corrupt_snapshot
+
+    graph, _ = caveman(4, 5)
+    with ServeClient(port=server.port, timeout=20) as client:
+        client.create_session("good", edges=_edges_payload(graph))
+        for i, name in enumerate(sorted(CORRUPTIONS)):
+            bad = f"bad{i}"
+            client.create_session(bad, edges=_edges_payload(graph))
+            client.batch(bad, add=([0], [10], [1.0]))
+            client.evict(bad)
+            corrupt_snapshot(tmp_path / "snaps" / bad, name)
+            for _ in range(2):  # the second one finds the worker alive
+                with pytest.raises(ServeError) as excinfo:
+                    client.batch(bad, add=([1], [11], [1.0]))
+                assert excinfo.value.code == "server_error", name
+                assert "cannot restore session" in excinfo.value.message, name
+            with pytest.raises(ServeError) as excinfo:
+                client.community_of(bad, 0)
+            assert excinfo.value.status == 500, name
+            result = client.batch("good", add=([i % 20], [(i + 7) % 20], [1.0]))
+            assert result["batch"] == i + 1
+        assert client.health()["ok"]
+
+
 def test_error_codes(client):
     graph, _ = caveman(3, 5)
     client.create_session("e", edges=_edges_payload(graph))
@@ -315,6 +343,28 @@ def test_batch_values_a_cast_would_change_are_invalid_batch(client):
     with pytest.raises(ServeError) as excinfo:
         client.create_session("t", edges={"u": [0, 1.5], "v": [1, 2]})
     assert excinfo.value.code == "bad_request"
+
+
+def test_session_create_with_a_nan_weight_is_bad_request(client):
+    with pytest.raises(ServeError) as excinfo:
+        client.create_session("n", edges={"u": [0, 1], "v": [1, 2], "w": [1.0, float("nan")]})
+    assert excinfo.value.status == 400
+    assert excinfo.value.code == "bad_request"
+    assert "finite" in excinfo.value.message
+
+
+@pytest.mark.parametrize("name", ["edges.txt", "head.graph", "matrix.mtx"])
+def test_session_create_from_a_bad_file_never_quotes_it(server, tmp_path, name):
+    from ..graph.test_io_failures import MARKED_FILES, MARKER
+
+    path = tmp_path / name
+    path.write_text(MARKED_FILES[name][0])
+    body = json.dumps({"name": "leak", "path": str(path)}).encode()
+    status, payload = _raw_request(server, "POST", "/v1/sessions", body)
+    assert status == 400
+    assert payload["error"]["code"] == "bad_request"
+    assert str(path) in payload["error"]["message"]
+    assert MARKER not in json.dumps(payload)
 
 
 def _raw_exchange(server, request: bytes) -> bytes:

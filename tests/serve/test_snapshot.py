@@ -201,3 +201,92 @@ def test_restored_apply_bit_identical(tmp_path_factory, data):
     assert result_a.mode == result_b.mode
     assert result_a.frontier_size == result_b.frontier_size
     _assert_sessions_equal(original, restored)
+
+
+# --------------------------------------------------------------------- #
+# Corrupt snapshots: a precise ValueError, never a session that fails later
+# --------------------------------------------------------------------- #
+def _replace(arrays: dict, key: str, index, value) -> None:
+    array = arrays[key].copy()
+    array[index] = value
+    arrays[key] = array
+
+
+def _unsort_a_row(arrays: dict, sidecar: dict) -> None:
+    indptr = arrays["indptr"]
+    row = int(np.flatnonzero(np.diff(indptr) >= 2)[0])
+    start = int(indptr[row])
+    _replace(arrays, "indices", [start, start + 1], arrays["indices"][[start + 1, start]])
+
+
+def _garbage(data: bytes):
+    def mutate(arrays: dict, sidecar: dict) -> bytes:
+        return data
+    return mutate
+
+
+#: name -> (mutation, file it corrupts).  A mutation edits the loaded
+#: arrays and sidecar in place, or returns raw bytes for that file.
+CORRUPTIONS = {
+    "membership label n": (
+        lambda a, s: _replace(a, "membership", 0, a["indptr"].size - 1), "npz"),
+    "float membership": (
+        lambda a, s: a.update(membership=a["membership"] + 0.5), "npz"),
+    "negative result label": (
+        lambda a, s: _replace(a, "result_membership", 0, -1), "npz"),
+    "level label n": (
+        lambda a, s: _replace(a, "level_0", 0, a["indptr"].size - 1), "npz"),
+    "short membership": (
+        lambda a, s: a.update(membership=a["membership"][:-1]), "npz"),
+    "indices entry n": (
+        lambda a, s: _replace(a, "indices", 0, a["indptr"].size - 1), "npz"),
+    "unsorted row": (_unsort_a_row, "npz"),
+    "asymmetric weight": (lambda a, s: _replace(a, "weights", 0, 7.5), "npz"),
+    "nan weight": (lambda a, s: _replace(a, "weights", 0, float("nan")), "npz"),
+    "missing array": (lambda a, s: a.pop("weights"), "npz"),
+    "npz not a zip": (_garbage(b"not an npz archive"), "npz"),
+    "missing sidecar key": (lambda a, s: s.pop("result"), "json"),
+    "num_levels not an int": (
+        lambda a, s: s["result"].update(num_levels="two"), "json"),
+    "nan modularity": (
+        lambda a, s: s["result"].update(modularity=float("nan")), "json"),
+    "sidecar not json": (_garbage(b"{"), "json"),
+}
+
+
+def corrupt_snapshot(base, name: str) -> None:
+    """Apply the named :data:`CORRUPTIONS` entry to the snapshot at ``base``."""
+    mutate, which = CORRUPTIONS[name]
+    npz_path, json_path = snapshot_paths(base)
+    with np.load(npz_path) as loaded:
+        arrays = dict(loaded)
+    sidecar = json.loads(json_path.read_text())
+    raw = mutate(arrays, sidecar)
+    if isinstance(raw, bytes):
+        (npz_path if which == "npz" else json_path).write_bytes(raw)
+    elif which == "npz":
+        with open(npz_path, "wb") as handle:
+            np.savez(handle, **arrays)
+    else:
+        json_path.write_text(json.dumps(sidecar))
+
+
+def _snapshotted_session(base) -> StreamSession:
+    graph, _ = caveman(4, 5)
+    session = StreamSession(graph, StreamConfig())
+    session.apply(add=(np.array([0, 5]), np.array([10, 15]), None))
+    assert session.result.levels, "level maps are part of what is checked"
+    snapshot_session(session, base)
+    return session
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_snapshot_fails_restore_naming_the_file(tmp_path, name):
+    base = tmp_path / "s"
+    _snapshotted_session(base)
+    corrupt_snapshot(base, name)
+    npz_path, json_path = snapshot_paths(base)
+    corrupted = npz_path if CORRUPTIONS[name][1] == "npz" else json_path
+    with pytest.raises(ValueError) as excinfo:
+        restore_session(base)
+    assert str(excinfo.value).startswith(f"{corrupted}: ")

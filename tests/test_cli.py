@@ -26,6 +26,16 @@ def test_info(karate_file, capsys):
     assert "edges:           78" in out
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+def test_detect_rejects_a_non_finite_weight(tmp_path, capsys, weight):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"0 1 {weight}\n1 2\n")
+    assert main(["detect", str(path)]) != 0
+    captured = capsys.readouterr()
+    assert "modularity" not in captured.out
+    assert f"error: {path}, line 1: edge weight must be finite" in captured.err
+
+
 def test_detect_gpu(karate_file, capsys, tmp_path):
     out_path = tmp_path / "comms.txt"
     assert main(["detect", karate_file, "--solver", "gpu", "-o", str(out_path)]) == 0
