@@ -404,10 +404,10 @@ class LabelContraction:
         entry whose other end did not move (a mover-mover entry is in
         both rows already): O(movers' rows).
         """
-        pos, which = gather_rows(graph.indptr, movers)
+        pos, which = graph.gather(movers)
         s = movers[which]
-        d = graph.indices[pos]
-        w = graph.weights[pos]
+        d = graph.row_indices[pos]
+        w = graph.row_weights[pos]
         moved = np.zeros(graph.num_vertices, dtype=bool)
         moved[movers] = True
         rev = ~moved[d]

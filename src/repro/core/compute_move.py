@@ -33,7 +33,6 @@ from ..graph.csr import CSRGraph
 from ..gpu.costmodel import CostModel, WorkItem, warp_schedule
 from ..gpu.hashtable import CommunityHashTable
 from ..gpu.profiler import KernelStats
-from ..gpu.thrust import gather_rows
 from .buckets import Bucket
 from .sweep_plan import BucketPlan
 
@@ -286,9 +285,9 @@ def compute_moves_vectorized(
             owner_key = plan.owner_key
             kv = plan.kv
         else:
-            edge_pos, owner_local = gather_rows(graph.indptr, vertices)
-            dst = graph.indices[edge_pos]
-            w = graph.weights[edge_pos]
+            edge_pos, owner_local = graph.gather(vertices)
+            dst = graph.row_indices[edge_pos]
+            w = graph.row_weights[edge_pos]
             not_loop = dst != vertices[owner_local]
             owner_local = owner_local[not_loop]
             dst_comm = comm[dst[not_loop]]

@@ -39,7 +39,6 @@ import numpy as np
 from ..graph.csr import CSRGraph
 from ..gpu.costmodel import CostModel
 from ..gpu.profiler import PhaseProfile
-from ..gpu.thrust import gather_rows
 from ..metrics.timing import SweepStats
 from ..trace import NullTracer, Tracer, as_tracer, sweep_span
 from .buckets import Bucket, bucket_index, degree_buckets
@@ -170,9 +169,9 @@ def _sweep_internal_delta(
     match flag cannot change).  With integral weights every term is an
     exact integer, so the tracked internal weight never drifts.
     """
-    edge_pos, which = gather_rows(graph.indptr, movers)
-    dsts = graph.indices[edge_pos]
-    w_e = graph.weights[edge_pos]
+    edge_pos, which = graph.gather(movers)
+    dsts = graph.row_indices[edge_pos]
+    w_e = graph.row_weights[edge_pos]
     cf_s = comm[movers][which]
     ci_s = comm_before[movers][which]
     diff = w_e * (
@@ -459,12 +458,10 @@ def _sweep_loop(
             vbucket = bucket_index(graph.degrees, config.degree_bucket_bounds)
             bucket_masks = [vbucket == bucket.index for bucket in buckets]
 
-    dst = graph.indices
-    w = graph.weights
-
     def internal_scan() -> float:
         """Exact internal weight of ``comm``: one pass over every edge."""
-        return float(w[comm[graph.vertex_of_edge] == comm[dst]].sum())
+        src = graph.vertex_of_edge
+        return float(graph.weights[comm[src] == comm[graph.indices]].sum())
 
     volumes = np.bincount(comm, weights=k, minlength=n)
     sizes = np.bincount(comm, minlength=n)
@@ -506,8 +503,8 @@ def _sweep_loop(
         if active is not None:
             # Delta-screening expansion: every vertex whose own or
             # neighbouring community totals changed becomes active.
-            pos, _ = gather_rows(graph.indptr, movers)
-            active[graph.indices[pos]] = True
+            pos, _ = graph.gather(movers)
+            active[graph.row_indices[pos]] = True
             if exact or expansion == "community":
                 comm_mask = np.zeros(n, dtype=bool)
                 comm_mask[old] = True
@@ -518,8 +515,8 @@ def _sweep_loop(
                     # Sound rule: a changed community volume reaches
                     # every neighbour of every member, not just the
                     # movers'.
-                    pos2, _ = gather_rows(graph.indptr, np.flatnonzero(member_mask))
-                    active[graph.indices[pos2]] = True
+                    pos2, _ = graph.gather(np.flatnonzero(member_mask))
+                    active[graph.row_indices[pos2]] = True
             else:
                 active[movers] = True
         return int(movers.size)
@@ -647,7 +644,7 @@ def _sweep_loop(
                 # When the movers' rows rival the whole edge list, a
                 # fresh exact scan is both cheaper and drift-free.
                 mover_edges = int(graph.degrees[movers_sweep].sum())
-                if _DELTA_EDGE_FACTOR * mover_edges >= dst.size:
+                if _DELTA_EDGE_FACTOR * mover_edges >= graph.num_stored_edges:
                     internal = internal_scan()
                 else:
                     internal += _sweep_internal_delta(

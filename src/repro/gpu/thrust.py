@@ -77,7 +77,7 @@ def reduce_by_key(
 
 
 def gather_rows(
-    indptr: np.ndarray, vertices: np.ndarray
+    indptr: np.ndarray, vertices: np.ndarray, lengths: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Flatten the CSR rows of ``vertices`` into an edge-index array.
 
@@ -86,11 +86,18 @@ def gather_rows(
     ``owner_local[e]`` is the position in ``vertices`` owning that edge.
     This is the host-side equivalent of each thread group streaming its
     vertex's neighbour list.
+
+    With ``lengths``, ``indptr`` holds each row's start instead of a row
+    pointer: row ``v`` is ``[indptr[v], indptr[v] + lengths[v])``, the
+    layout of a graph's row store (:meth:`~repro.graph.csr.CSRGraph.gather`).
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     vertices = np.asarray(vertices, dtype=np.int64)
     starts = indptr[vertices]
-    counts = indptr[vertices + 1] - starts
+    if lengths is None:
+        counts = indptr[vertices + 1] - starts
+    else:
+        counts = lengths[vertices]
     total = int(counts.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)

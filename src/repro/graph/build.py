@@ -8,11 +8,11 @@ by weight summation, rows sorted by neighbour id.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
 import numpy as np
 
-from ..gpu.thrust import gather_rows
 from .csr import EXACT_SUM_LIMIT, CSRGraph
 
 __all__ = [
@@ -280,16 +280,17 @@ def find_entries(
 
     Returns ``(pos, found)``: ``pos[i]`` is the first position of row
     ``rows[i]`` whose neighbour is not below ``cols[i]`` — the entry
-    itself when ``found[i]``, else where it would be inserted.  All
-    queries bisect together, one step per pass, so ``B`` queries cost
-    O(B log d_max) and no O(E) key array is built.  Requires a
-    canonical graph (:attr:`CSRGraph.canonical`).
+    itself when ``found[i]``, else where it would be inserted.
+    Positions index the row store (:attr:`CSRGraph.row_indices`), so no
+    flat array is built.  All queries bisect together, one step per
+    pass, so ``B`` queries cost O(B log d_max) and no O(E) key array is
+    built.  Requires a canonical graph (:attr:`CSRGraph.canonical`).
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    indices = graph.indices
-    lo = graph.indptr[rows]
-    end = graph.indptr[rows + 1]
+    indices = graph.row_indices
+    lo = graph.row_start[rows]
+    end = lo + graph.degrees[rows]
     hi = end
     while True:
         live = lo < hi
@@ -305,21 +306,35 @@ def find_entries(
     return lo, found
 
 
+#: Array entries per edit point above which :func:`_splice` copies the
+#: untouched runs between edit points (memcpy speed, one Python step
+#: per edit); below it one vectorized delete and insert per array is
+#: faster.  Measured crossover: ~700 entries per edit point.
+_SPLICE_RUN_ENTRIES = 512
+
+
 def _splice(
     arrays: list[np.ndarray],
     del_pos: np.ndarray,
     ins_pos: np.ndarray,
     payloads: list[np.ndarray],
 ) -> list[np.ndarray]:
-    """Delete and insert entries of parallel arrays by contiguous slices.
+    """Delete and insert entries of parallel arrays, as new arrays.
 
     ``del_pos`` (sorted, unique) are positions to drop; ``payloads[j][i]``
     goes into ``arrays[j]`` just before old position ``ins_pos[i]``
     (sorted; equal positions keep payload order, and an insertion at a
-    deleted position lands before it).  One pass over the edit points
-    copies the untouched runs between them, which on a long array with a
-    few edits is several times faster than a boolean-mask copy.
+    deleted position lands before it).  A long array with few edits is
+    copied by the untouched runs between edit points, several times
+    faster than a boolean-mask copy; a short one (a batch's touched
+    rows) or one with many edits takes one vectorized delete and insert.
     """
+    if arrays[0].size < _SPLICE_RUN_ENTRIES * (del_pos.size + ins_pos.size):
+        at = ins_pos - np.searchsorted(del_pos, ins_pos)
+        return [
+            np.insert(np.delete(array, del_pos), at, payload)
+            for array, payload in zip(arrays, payloads)
+        ]
     pieces: list[list[np.ndarray]] = [[] for _ in arrays]
     deletions = del_pos.tolist()
     insertions = ins_pos.tolist()
@@ -344,6 +359,37 @@ def _splice(
     return [np.concatenate(piece) for piece in pieces]
 
 
+def _patch_entries(
+    indices: np.ndarray,
+    weights: np.ndarray,
+    del_pos: np.ndarray,
+    ins_pos: np.ndarray,
+    ins_cols: np.ndarray,
+    ins_weights: np.ndarray,
+    up_pos: np.ndarray,
+    up_weights: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Parallel entry arrays with a batch's edits applied, as new arrays.
+
+    Positions are pre-edit, as :func:`_splice` takes them; ``up_pos``
+    are reweighted entries.  Without insertions or deletions
+    ``indices`` is returned as is and only ``weights`` is copied.
+    """
+    if del_pos.size == 0 and ins_pos.size == 0:
+        weights = weights.copy()
+        weights[up_pos] = up_weights
+        return indices, weights
+    indices, weights = _splice(
+        [indices, weights], del_pos, ins_pos, [ins_cols, ins_weights]
+    )
+    # Updated entries moved by the edits before them.
+    shift = np.searchsorted(ins_pos, up_pos, side="right") - np.searchsorted(
+        del_pos, up_pos
+    )
+    weights[up_pos + shift] = up_weights
+    return indices, weights
+
+
 def apply_edge_batch(
     graph: CSRGraph,
     *,
@@ -351,17 +397,19 @@ def apply_edge_batch(
     remove: tuple[np.ndarray, np.ndarray] | None = None,
     count_change: bool = False,
 ) -> tuple:
-    """Apply a batch of edge updates by *patching* the CSR arrays.
+    """Apply a batch of edge updates by *patching* the touched CSR rows.
 
     The streaming fast path: instead of the O(E log E) rebuild of
     :func:`from_edges`, each changed pair is found by a binary search
-    inside its row (:func:`find_entries`), weight changes write through,
-    and deletions and insertions are spliced in by contiguous slices.
-    For a batch of ``B`` updates that is O(B log B + B log d_max) of
-    search plus one memcpy-speed copy of the arrays when the structure
-    changes (a weight-only batch copies just ``weights``).  The new graph
-    is built with :meth:`CSRGraph.trusted`: no O(E) re-validation, and
-    the old graph's cached values are patched forward — ``num_edges``
+    inside its row (:func:`find_entries`), and the touched rows are
+    gathered into one small copy that deletions, insertions and weight
+    changes are spliced into.  :meth:`CSRGraph.replace_rows` appends the
+    new rows to the row store the graph shares with its parent and
+    patches the O(n) row arrays, so a batch of ``B`` updates costs
+    O(B log B + B log d_max + touched rows + n) and copies no untouched
+    row (save an occasional compaction, amortized over the batches
+    that fill the store's slack).  No O(E) re-validation runs, and the
+    old graph's cached values are patched forward — ``num_edges``
     counted, ``weighted_degrees`` re-summed on the touched rows only (in
     storage order, so bit-identical to a fresh ``bincount``), and
     ``total_weight`` patched from the batch when
@@ -369,7 +417,9 @@ def apply_edge_batch(
     first use otherwise).  ``vertex_of_edge`` is not patched on a
     structural change: the new graph rebuilds it on first use, so a
     caller that never reads it (a Louvain stream session under local
-    screening) never pays for it.
+    screening) never pays for it.  The same holds for the flat
+    ``indices``/``weights``: when the old graph has built them, the new
+    graph splices its own from them on first read.
 
     Semantics (identical to :func:`update_edges`):
 
@@ -427,7 +477,7 @@ def apply_edge_batch(
 
     exists = dfound[: pairs.size]
     cur_w = np.zeros(pairs.size, dtype=np.float64)
-    cur_w[exists] = graph.weights[dpos[: pairs.size][exists]]
+    cur_w[exists] = graph.row_weights[dpos[: pairs.size][exists]]
 
     removed = np.zeros(pairs.size, dtype=bool)
     if rkey.size:
@@ -456,36 +506,58 @@ def apply_edge_batch(
     upd = np.flatnonzero(update[dpair])
     dele = np.flatnonzero(delete[dpair])
     ins = np.flatnonzero(insert[dpair])
-    vertex_of_edge = graph.cached("vertex_of_edge")
-    if dele.size == 0 and ins.size == 0:
-        indptr, indices = graph.indptr, graph.indices
-        weights = graph.weights.copy()
-        weights[dpos[upd]] = new_w[dpair[upd]]
-    else:
-        del_pos = np.sort(dpos[dele])
-        # Insertions in storage order: by position, then row (a row end
-        # and the next row's start share a position), then neighbour.
-        ins = ins[np.lexsort((dcol[ins], drow[ins], dpos[ins]))]
-        ins_pos = dpos[ins]
-        indices, weights = _splice(
-            [graph.indices, graph.weights],
-            del_pos,
-            ins_pos,
-            [dcol[ins], new_w[dpair[ins]]],
-        )
-        vertex_of_edge = None
-        # Updated entries moved by the edits before them.
-        up_pos = dpos[upd]
-        shift = np.searchsorted(ins_pos, up_pos, side="right") - np.searchsorted(
-            del_pos, up_pos
-        )
-        weights[up_pos + shift] = new_w[dpair[upd]]
-        counts = np.diff(graph.indptr)
-        counts -= np.bincount(drow[dele], minlength=n)
-        counts += np.bincount(drow[ins], minlength=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
 
+    # The touched rows, gathered back to back; ``local`` is each
+    # direction's position in that copy.
+    rows, row_of = np.unique(drow, return_inverse=True)
+    old_lengths = graph.degrees[rows]
+    pos, _ = graph.gather(rows)
+    offset = np.cumsum(old_lengths) - old_lengths
+    within = dpos - graph.row_start[drow]
+    local = offset[row_of] + within
+    del_local = np.sort(local[dele])
+    # Insertions in storage order: by position, then row (a row end
+    # and the next row's start share a position), then neighbour.
+    ins = ins[np.lexsort((dcol[ins], drow[ins], local[ins]))]
+    ins_local = local[ins]
+    ins_cols = dcol[ins]
+    ins_weights = new_w[dpair[ins]]
+    up_local = local[upd]
+    up_weights = new_w[dpair[upd]]
+    row_cols, row_weights = _patch_entries(
+        graph.row_indices[pos],
+        graph.row_weights[pos],
+        del_local,
+        ins_local,
+        ins_cols,
+        ins_weights,
+        up_local,
+        up_weights,
+    )
+    lengths = (
+        old_lengths
+        - np.bincount(row_of[dele], minlength=rows.size)
+        + np.bincount(row_of[ins], minlength=rows.size)
+    )
+
+    flat_patch = None
+    if graph.cached("indices") is not None:
+        # The old graph's flat arrays exist: the new graph splices its
+        # own from them at memcpy speed, on its first whole-graph read.
+        flat = graph.indptr[drow] + within
+        flat_patch = functools.partial(
+            _patch_entries,
+            graph.indices,
+            graph.weights,
+            np.sort(flat[dele]),
+            flat[ins],
+            ins_cols,
+            ins_weights,
+            flat[upd],
+            up_weights,
+        )
+
+    structural = dele.size > 0 or ins.size > 0
     num_edges = graph.cached("num_edges")
     if num_edges is not None:
         num_edges += int(np.count_nonzero(insert)) - int(np.count_nonzero(delete))
@@ -493,11 +565,11 @@ def apply_edge_batch(
     if weighted_degrees is not None:
         # Re-sum the touched rows in storage order: bincount adds a row's
         # entries left to right, exactly as the whole-graph bincount does.
-        rows = np.unique(drow)
-        pos, which = gather_rows(indptr, rows)
         weighted_degrees = weighted_degrees.copy()
         weighted_degrees[rows] = np.bincount(
-            which, weights=weights[pos], minlength=rows.size
+            np.repeat(np.arange(rows.size), lengths),
+            weights=row_weights,
+            minlength=rows.size,
         )
     total_weight = integral = None
     if graph.integral_weights:
@@ -510,11 +582,15 @@ def apply_edge_batch(
                 total_weight, integral = total, True
         else:
             integral = False
-    out = CSRGraph.trusted(
-        indptr,
-        indices,
-        weights,
-        vertex_of_edge=vertex_of_edge,
+    out = graph.replace_rows(
+        rows,
+        lengths,
+        row_cols,
+        row_weights,
+        flat_patch=flat_patch,
+        # The flat layout moves only when rows change length.
+        indptr=None if structural else graph.cached("indptr"),
+        vertex_of_edge=None if structural else graph.cached("vertex_of_edge"),
         num_edges=num_edges,
         weighted_degrees=weighted_degrees,
         total_weight=total_weight,

@@ -120,15 +120,15 @@ class ServeConfig:
 
 
 def session_nbytes(session: StreamSession) -> int:
-    """Resident-memory estimate of one session (its big arrays)."""
-    graph = session.graph
-    return int(
-        graph.indptr.nbytes
-        + graph.indices.nbytes
-        + graph.weights.nbytes
-        + session.membership.nbytes
-        + session.result.membership.nbytes
-    )
+    """Resident-memory estimate of one session (its big arrays).
+
+    The graph's :attr:`~repro.graph.csr.CSRGraph.nbytes` (row store at
+    capacity, row arrays, every cached array) plus the membership
+    arrays, each array counted once.  Builds nothing: a stats or
+    metrics poll must not materialize the flat arrays.
+    """
+    labels = {id(a): a.nbytes for a in (session.membership, session.result.membership)}
+    return int(session.graph.nbytes + sum(labels.values()))
 
 
 class SessionManager:

@@ -616,6 +616,8 @@ class ReproServer:
             )
             status, payload = exc.status, error_body(exc.code, exc.message)
         except Exception as exc:  # noqa: BLE001 - protocol boundary
+            # The detail (which may name server paths) goes to the log
+            # line, which carries this request's cid; the body does not.
             self.stats.errors += 1
             self._m_errors.labels(code="server_error").inc()
             self.log.error(
@@ -623,9 +625,7 @@ class ReproServer:
                 method=method, route=route, code="server_error", status=500,
                 exception=f"{type(exc).__name__}: {exc}",
             )
-            status, payload = 500, error_body(
-                "server_error", f"{type(exc).__name__}: {exc}"
-            )
+            status, payload = 500, error_body("server_error", "internal server error")
         finally:
             unbind_trace_context(trace_token)
             unbind_correlation_id(token)
@@ -898,8 +898,9 @@ class ReproServer:
                 self.log.error(
                     "restore_failed", session=name,
                     exception=f"{type(exc).__name__}: {exc}",
+                    cids=[r.cid for r in burst if r.cid],
                 )
-                code, message = "server_error", f"cannot restore session: {exc}"
+                code, message = "server_error", f"cannot restore session {name!r}"
             for request in burst:
                 if not request.future.done():
                     request.future.set_exception(ServeError(code, message))
@@ -969,7 +970,7 @@ class ReproServer:
             for request in accepted:
                 if not request.future.done():
                     request.future.set_exception(
-                        ServeError("server_error", f"apply failed: {exc}")
+                        ServeError("server_error", "apply failed")
                     )
             return
         finally:

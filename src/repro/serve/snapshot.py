@@ -250,7 +250,7 @@ def _checked_graph(arrays: dict[str, np.ndarray]) -> CSRGraph:
     # Every stored entry (u, v) has its mirror (v, u) with the same weight.
     pos, found = find_entries(graph, graph.indices, graph.vertex_of_edge)
     _require(
-        bool(found.all()) and np.array_equal(graph.weights[pos], graph.weights),
+        bool(found.all()) and np.array_equal(graph.row_weights[pos], graph.weights),
         "CSR must store every edge in both directions with one weight",
     )
     return graph

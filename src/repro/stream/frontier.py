@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..gpu.thrust import gather_rows
 
 __all__ = ["delta_frontier"]
 
@@ -68,6 +67,6 @@ def delta_frontier(
     comm_mask[membership[ends]] = True
     mask |= comm_mask[membership]
     # Neighbours of the endpoints (their best-move inputs changed).
-    pos, _ = gather_rows(graph.indptr, ends)
-    mask[graph.indices[pos]] = True
+    pos, _ = graph.gather(ends)
+    mask[graph.row_indices[pos]] = True
     return np.flatnonzero(mask)

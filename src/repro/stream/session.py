@@ -36,6 +36,7 @@ membership.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import os
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -407,8 +408,7 @@ class StreamSession:
                 initial=True,
                 num_vertices=graph.num_vertices,
                 num_edges=graph.num_edges,
-                config=config.to_meta(),
-                fingerprint=config.fingerprint(),
+                **self._report_meta,
             )
         self._publish()
 
@@ -567,11 +567,22 @@ class StreamSession:
                 screening=self.config.screening,
                 num_vertices=self.graph.num_vertices,
                 num_edges=self.graph.num_edges,
-                config=self.config.to_meta(),
-                fingerprint=self.config.fingerprint(),
+                **self._report_meta,
             )
         )
         return result
+
+    @functools.cached_property
+    def _report_meta(self) -> dict:
+        """``config`` and ``fingerprint`` metadata of every report.
+
+        The config is frozen, so both are computed once per session,
+        not per traced batch.
+        """
+        return {
+            "config": self.config.to_meta(),
+            "fingerprint": self.config.fingerprint(),
+        }
 
     # ------------------------------------------------------------------ #
     # Partition queries: answered from a published view, never from the

@@ -158,3 +158,36 @@ def test_stats_contract(manager):
         "snapshots": 1,
         "eviction_pressure": False,
     }
+
+
+def test_session_bytes_count_what_the_session_holds_and_build_nothing(manager):
+    graph, _ = caveman(20, 8)
+    session = manager.create("a", graph)
+    n = graph.num_vertices
+    for step in range(6):
+        u = np.array([step, step + 80])
+        result = session.apply(add=(u, (u + n // 3) % n, None))
+        assert result.mode == "stream"
+    info = manager.info("a")
+    stats = manager.stats()
+    graph = session.graph
+    # Polling info and stats reads no flat array of the patched graph.
+    assert graph.cached("indices") is None and graph.cached("weights") is None
+
+    def owner(array):
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        return array
+
+    held = [graph.row_indices, graph.row_weights, graph.row_start, graph.degrees]
+    held += [
+        graph.cached(name)
+        for name in ("indptr", "vertex_of_edge", "weighted_degrees")
+        if graph.cached(name) is not None
+    ]
+    held += [session.membership, session.result.membership]
+    expected = sum({id(owner(a)): owner(a).nbytes for a in held}.values())
+    assert info["bytes"] == stats["resident_bytes"] == expected
+    # The row store counts at capacity, beyond the live entries.
+    assert graph.row_indices.size > graph.num_stored_edges
+    assert session.membership is session.result.membership  # counted once

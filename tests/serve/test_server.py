@@ -143,6 +143,7 @@ def test_corrupt_snapshot_answers_every_request(server, tmp_path):
     from .test_snapshot import CORRUPTIONS, corrupt_snapshot
 
     graph, _ = caveman(4, 5)
+    snaps = str(tmp_path / "snaps")
     with ServeClient(port=server.port, timeout=20) as client:
         client.create_session("good", edges=_edges_payload(graph))
         for i, name in enumerate(sorted(CORRUPTIONS)):
@@ -156,9 +157,12 @@ def test_corrupt_snapshot_answers_every_request(server, tmp_path):
                     client.batch(bad, add=([1], [11], [1.0]))
                 assert excinfo.value.code == "server_error", name
                 assert "cannot restore session" in excinfo.value.message, name
+                assert snaps not in excinfo.value.message, name
             with pytest.raises(ServeError) as excinfo:
                 client.community_of(bad, 0)
             assert excinfo.value.status == 500, name
+            # The body names no server path; the log line has the detail.
+            assert snaps not in excinfo.value.message, name
             result = client.batch("good", add=([i % 20], [(i + 7) % 20], [1.0]))
             assert result["batch"] == i + 1
         assert client.health()["ok"]

@@ -322,3 +322,23 @@ def test_sweep_stats_expose_frontier_size():
     assert level0
     assert all(s.frontier_size >= 0 for s in level0)
     assert level0[0].frontier_size > 0
+
+
+def test_batch_reports_carry_the_config_metadata_computed_once():
+    from unittest import mock
+
+    from repro.trace import Tracer
+
+    graph, _ = caveman(6, 8)
+    config = StreamConfig(screening="exact")
+    with mock.patch.object(
+        StreamConfig, "to_meta", autospec=True, side_effect=StreamConfig.to_meta
+    ) as to_meta:
+        session = StreamSession(graph, config, tracer=Tracer())
+        for step in range(3):
+            session.apply(add=(np.array([step]), np.array([step + 20]), None))
+    # The fingerprint hashes to_meta() too: one call for each, per session.
+    assert to_meta.call_count == 2
+    for report in [session.initial_report, *session.reports]:
+        assert report.meta["config"] == config.to_meta()
+        assert report.meta["fingerprint"] == config.fingerprint()
