@@ -39,6 +39,7 @@ import argparse
 import sys
 import time
 from collections.abc import Sequence
+from pathlib import Path
 
 import numpy as np
 
@@ -376,30 +377,37 @@ def _read_membership(path: str, num_vertices: int) -> np.ndarray:
     Unlisted vertices default to singleton communities of their own id.
     """
     membership = np.arange(num_vertices, dtype=np.int64)
+
+    def error(lineno: int, reason: str) -> ValueError:
+        # The line itself is never quoted, as in the graph readers.
+        return ValueError(f"{path}, line {lineno}: {reason}")
+
     with open(path) as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'vertex community', got {raw!r}"
-                )
-            try:
-                v = int(parts[0])
-                c = int(parts[1])
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected integer 'vertex community', "
-                    f"got {raw!r}"
-                ) from None
-            if not 0 <= v < num_vertices:
-                raise ValueError(
-                    f"{path}:{lineno}: vertex {v} out of range for a graph "
-                    f"with {num_vertices} vertices"
-                )
-            membership[v] = c
+        try:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) < 2:
+                    raise error(lineno, "expected 'vertex community'")
+                try:
+                    v = int(parts[0])
+                    c = int(parts[1])
+                except ValueError:
+                    raise error(lineno, "expected integer 'vertex community'") from None
+                if not 0 <= v < num_vertices:
+                    raise error(
+                        lineno,
+                        f"vertex id out of range for a graph with {num_vertices} vertices",
+                    )
+                if not -(2**63) <= c < 2**63:
+                    raise error(lineno, "community labels must fit in 64 bits")
+                membership[v] = c
+        except UnicodeDecodeError:
+            from .graph.io import _not_text
+
+            raise _not_text(path) from None
     if membership.size and (
         membership.min() < 0 or membership.max() >= num_vertices
     ):
@@ -412,15 +420,16 @@ def _read_membership(path: str, num_vertices: int) -> np.ndarray:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    graph = _load_graph(args.path)
+    from .trace import Tracer, as_tracer
+
+    tracing = bool(args.trace or args.trace_summary)
+    tracer = Tracer() if tracing else None
+    with as_tracer(tracer).span("load") as load:
+        graph = _load_graph(args.path)
     if graph is None:
         return 2
-    tracing = bool(args.trace or args.trace_summary)
-    tracer = None
-    if tracing:
-        from .trace import Tracer
-
-        tracer = Tracer()
+    load.count(bytes=Path(args.path).stat().st_size,
+               num_vertices=graph.num_vertices, num_edges=graph.num_edges)
     start = time.perf_counter()
     if args.solver == "gpu":
         initial = None
@@ -479,6 +488,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         from .obs import stage_table
         from .trace import report_from_result
 
+        # The load becomes the run's first child, so the report keeps
+        # one root and the run's time covers the whole command.
+        tracer.roots.remove(load)
+        run = tracer.roots[0]
+        run.children.insert(0, load)
+        run.seconds += load.seconds
         extra = (
             {"algo": args.algo}
             if args.solver == "gpu" and args.algo != "louvain"
@@ -757,7 +772,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import os
     import signal
     import traceback
-    from pathlib import Path
 
     from .obs.flight import build_debug_bundle, get_flight_recorder
     from .obs.logs import StructuredLogger

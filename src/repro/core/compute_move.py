@@ -42,7 +42,7 @@ __all__ = [
     "compute_moves_simulated",
 ]
 
-#: Largest combined radix key before the lexsort fallback kicks in
+#: Largest combined sort key before the lexsort fallback kicks in
 #: (module-level so tests can shrink it to exercise the fallback).
 _MAX_RADIX_KEY = np.iinfo(np.int64).max
 
@@ -70,14 +70,16 @@ def segment_sort_order(
 ) -> np.ndarray:
     """Stable order of edges by ``(owner_local, dst_comm)``.
 
-    A combined integer key + stable argsort hits NumPy's radix path and
-    is ~50x faster than np.lexsort on these sizes (profiled; see the
-    optimization guide's "measure first" workflow).  The combined key
-    ``owner_local * num_vertices + dst_comm`` can overflow int64 when the
-    bucket size times the vertex count exceeds 2^63 (large ``n x bucket``
-    products); the overflow condition is checked in exact Python integers
-    and the order falls back to ``np.lexsort`` — also stable, so every
-    path produces the identical permutation.
+    A combined integer key + stable argsort is ~50x faster than
+    np.lexsort on these sizes (profiled; see the optimization guide's
+    "measure first" workflow).  NumPy's stable sort is a radix sort only
+    for keys of 16 bits or less; these int32/int64 keys get timsort,
+    which gains from the sorted runs the CSR edge order leaves.  The
+    combined key ``owner_local * num_vertices + dst_comm`` can overflow
+    int64 when the bucket size times the vertex count exceeds 2^63
+    (large ``n x bucket`` products); the overflow condition is checked in
+    exact Python integers and the order falls back to ``np.lexsort`` —
+    also stable, so every path produces the identical permutation.
 
     ``owner_key`` optionally supplies the pre-multiplied
     ``owner_local * num_vertices`` base from a

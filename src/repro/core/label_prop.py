@@ -15,7 +15,7 @@ current label (self-loops are ignored; they vote for nobody).  Ties
 between winning labels break toward the smaller label, so the whole
 run is deterministic.  The per-(vertex, label) accumulation reuses the
 bucketed sub-warp machinery of :mod:`~repro.core.compute_move`: a row
-gather, one radix segment sort, and segmented ``reduceat`` reductions
+gather, one combined-key segment sort, and segmented ``reduceat`` reductions
 stand in for the per-thread hash tables of the CUDA kernel.
 
 Label propagation does not optimise modularity — it is a single-level

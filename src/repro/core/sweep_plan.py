@@ -14,7 +14,7 @@ levels:
 
 1. **Edge gathers** (:class:`BucketPlan`): built once per phase, served
    to :func:`~repro.core.compute_move.compute_moves_vectorized` on every
-   sweep.  The radix sort key base ``owner_local * n`` is pre-multiplied
+   sweep.  The combined sort key base ``owner_local * n`` is pre-multiplied
    (int32 when it fits, else int64; ``None`` selects the lexsort
    overflow fallback in
    :func:`~repro.core.compute_move.segment_sort_order`).
@@ -103,7 +103,7 @@ class BucketPlan:
         Per edge, the edge weight.
     owner_key:
         ``owner_local * num_vertices`` pre-multiplied for the combined
-        radix sort key (int32 when the combined key fits, else int64),
+        sort key (int32 when the combined key fits, else int64),
         or ``None`` when it could overflow int64 and the lexsort
         fallback must be used.
     kv:
@@ -134,8 +134,7 @@ class BucketPlan:
         table was built from — what :meth:`refresh_pairs` diffs against.
     can_increment:
         Whether in-place pair patching is sound for this bucket
-        (integral edge weights and a combined key that fits the radix
-        path).
+        (integral edge weights and a combined key that fits int64).
     unit_weights:
         Whether every edge weight of this bucket equals ``1.0``; the
         pair rebuild then reads ``e_{i->c}`` straight off the segment

@@ -81,30 +81,50 @@ def from_edges(
     if u.size == 0:
         return empty_graph(n)
 
-    # Canonicalise each undirected edge as (min, max) and merge duplicates.
-    lo = np.minimum(u, v)
-    hi = np.maximum(u, v)
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    wsorted = w[order]
+    # Canonicalise each undirected edge as key (min, max) and merge
+    # duplicates.  Arrays are built in place and dropped once spent:
+    # this build is the peak memory of loading a graph file.
+    key = np.minimum(u, v)
+    key *= n
+    key += np.maximum(u, v)
+    order = _stable_argsort(key)
+    key, w = key[order], w[order]
+    del order
     boundary = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    merged_key = key[boundary]
-    merged_w = np.add.reduceat(wsorted, boundary)
-    mlo = merged_key // n
-    mhi = merged_key % n
+    key, w = key[boundary], np.add.reduceat(w, boundary)
+    del boundary
+    lo, hi = np.divmod(key, n)
+    del key
 
     # Expand to both stored directions (self-loops once).
-    not_loop = mlo != mhi
-    src = np.concatenate([mlo, mhi[not_loop]])
-    dst = np.concatenate([mhi, mlo[not_loop]])
-    ww = np.concatenate([merged_w, merged_w[not_loop]])
-
+    not_loop = lo != hi
+    src = np.concatenate([lo, hi[not_loop]])
+    dst = np.concatenate([hi, lo[not_loop]])
+    w = np.concatenate([w, w[not_loop]])
+    del lo, hi, not_loop
     counts = np.bincount(src, minlength=n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    order = np.argsort(src * np.int64(max(n, 1)) + dst, kind="stable")
-    return CSRGraph(indptr=indptr, indices=dst[order], weights=ww[order])
+    # The stored keys are unique, so any sort gives the stable order.
+    src *= np.int64(max(n, 1))
+    src += dst
+    order = np.argsort(src)
+    del src
+    return CSRGraph(indptr=indptr, indices=dst[order], weights=w[order])
+
+
+def _stable_argsort(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of a non-empty int64 array.
+
+    Where it fits in int64 the composite ``key * size + index`` is unique,
+    so NumPy's default sort, several times faster than its stable sort
+    on int64, gives the same order.
+    """
+    if key.min() < 0 or key.max() >= 2**63 // key.size:
+        return np.argsort(key, kind="stable")
+    composite = key * key.size
+    composite += np.arange(key.size)
+    return np.argsort(composite)
 
 
 def from_directed_entries(

@@ -800,18 +800,23 @@ class ReproServer:
             raise ServeError("invalid_name", str(exc)) from exc
         if self.manager.has(name):
             raise ServeError("session_exists", f"session {name!r} already exists")
-        graph = decode_graph_spec(payload)
         config_spec = payload.get("config") or {}
         try:
             config = StreamConfig.from_dict(config_spec)
         except (TypeError, ValueError) as exc:
             raise ServeError("bad_request", f"invalid config: {exc}") from exc
+
+        def build():
+            graph = decode_graph_spec(payload)
+            self.manager.create(name, graph, config)
+            return graph
+
         async with self._lock(name):
-            # The initial clustering is CPU-bound; keep the loop alive.
+            # Reading or generating the graph and its initial clustering
+            # are CPU- and I/O-bound; keep the loop alive.  A bad spec's
+            # ServeError comes back through the await.
             assert self._loop is not None
-            await self._loop.run_in_executor(
-                None, lambda: self.manager.create(name, graph, config)
-            )
+            graph = await self._loop.run_in_executor(None, build)
             self.log.info(
                 "session_created",
                 session=name,

@@ -371,6 +371,53 @@ def test_session_create_from_a_bad_file_never_quotes_it(server, tmp_path, name):
     assert MARKER not in json.dumps(payload)
 
 
+def test_session_create_from_a_file_with_an_id_beyond_int64_is_bad_request(server, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("0 1\n99999999999999999999999 2\n")
+    body = json.dumps({"name": "big", "path": str(path)}).encode()
+    status, payload = _raw_request(server, "POST", "/v1/sessions", body)
+    assert status == 400
+    assert payload["error"] == {
+        "code": "bad_request",
+        "message": f"cannot load graph: {path}, line 2: vertex ids must fit in 64 bits",
+    }
+
+
+def test_create_builds_its_graph_off_the_event_loop(server, tmp_path, monkeypatch):
+    from repro.graph import io as graph_io
+    from repro.graph.io import write_edge_list
+
+    path = tmp_path / "caves.txt"
+    write_edge_list(caveman(4, 5)[0], path)
+    loading, release = threading.Event(), threading.Event()
+    load_graph = graph_io.load_graph
+
+    def slow_load(where):
+        loading.set()
+        assert release.wait(30)
+        return load_graph(where)
+
+    monkeypatch.setattr(graph_io, "load_graph", slow_load)
+    created = {}
+
+    def create():
+        with ServeClient(port=server.port) as c:
+            created["info"] = c.create_session("slow", path=str(path))
+
+    creator = threading.Thread(target=create)
+    creator.start()
+    try:
+        assert loading.wait(10)
+        # The load is pending on an executor thread; the loop still answers.
+        with ServeClient(port=server.port, timeout=10) as c:
+            assert c.health(live=True)["ok"]
+        assert creator.is_alive() and "info" not in created
+    finally:
+        release.set()
+        creator.join(30)
+    assert created["info"]["num_vertices"] == 20
+
+
 def _raw_exchange(server, request: bytes) -> bytes:
     """Send raw bytes; return all the server writes until it closes."""
     with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:

@@ -193,7 +193,7 @@ def test_warm_start_renumbers_out_of_range_labels(karate_file, capsys, tmp_path)
 
 def test_warm_start_rejects_bad_files(karate_file, capsys, tmp_path):
     cases = [
-        ("999999 0\n", "vertex 999999 out of range"),
+        ("999999 0\n", "vertex id out of range"),
         ("0\n", "expected 'vertex community'"),
         ("0 notanumber\n", "expected integer"),
     ]
@@ -204,7 +204,7 @@ def test_warm_start_rejects_bad_files(karate_file, capsys, tmp_path):
         err = capsys.readouterr().err
         assert "error:" in err
         assert fragment in err
-        assert "bad.txt:1" in err
+        assert "bad.txt, line 1" in err
     # the stream warm-start call site shares the same boundary
     bad = tmp_path / "bad.txt"
     bad.write_text("999999 0\n")
@@ -213,6 +213,58 @@ def test_warm_start_rejects_bad_files(karate_file, capsys, tmp_path):
          "--warm-start", str(bad)]
     ) == 2
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content, line, reason",
+    [
+        (b"0 0\nMARKER\n", 2, "expected 'vertex community'"),
+        (b"MARKER 1\n", 1, "expected integer 'vertex community'"),
+        (b"# MARKER\n0 MARKER\n", 2, "expected integer 'vertex community'"),
+        (b"123456789 0\n", 1, "vertex id out of range for a graph with 34 vertices"),
+        (b"0 99999999999999999999999\n", 1, "community labels must fit in 64 bits"),
+        (b"0 0\n1 1 \xff MARKER\n", 2, "not text in the expected encoding"),
+    ],
+    ids=["short", "bad-vertex", "bad-label", "out-of-range", "wide-label", "undecodable"],
+)
+def test_warm_start_errors_name_the_line_and_never_quote_it(
+    karate_file, capsys, tmp_path, content, line, reason
+):
+    from .graph.test_io_failures import MARKER
+
+    bad = tmp_path / "warm.txt"
+    bad.write_bytes(content.replace(b"MARKER", MARKER.encode()))
+    assert main(["detect", karate_file, "--warm-start", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}, line {line}: {reason}\n"
+    assert MARKER not in err and "123456789" not in err
+
+
+def test_detect_names_the_line_of_an_id_beyond_int64(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("0 1\n99999999999999999999999 2\n")
+    assert main(["detect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}, line 2: vertex ids must fit in 64 bits\n"
+    assert "Traceback" not in err
+
+
+def test_detect_trace_records_the_load(karate_file, tmp_path):
+    import json
+    import os
+
+    from repro.trace import RunReport
+
+    trace_path = tmp_path / "trace.json"
+    assert main(["detect", karate_file, "--trace", str(trace_path)]) == 0
+    (run,) = RunReport.from_dict(json.loads(trace_path.read_text())).spans
+    load = run.children[0]
+    assert load.name == "load"
+    assert load.counters == {
+        "bytes": os.path.getsize(karate_file), "num_vertices": 34, "num_edges": 78
+    }
+    assert 0 < load.seconds < run.seconds
+    assert sum(child.seconds for child in run.children) <= run.seconds
 
 
 @pytest.mark.parametrize("algo", ["lpa", "leiden"])
